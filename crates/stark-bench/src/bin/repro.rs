@@ -3,11 +3,13 @@
 //! Usage:
 //!   repro all `[n]`          # every experiment (default scale)
 //!   repro figure4 `[n]`      # the Figure 4 self-join comparison
-//!   repro fusion `[n]`       # S7 fused-vs-unfused narrow chains (writes target/s7-fusion.json)
+//!   repro fusion `[n]`       # S7 fused-vs-unfused narrow chains (writes target/s7-fusion.json;
+//!                            # exits 1 unless fused <= 1.25x unfused, min of 3 interleaved runs)
 //!   repro chaos `[n]`        # S8 fault-tolerance ablation (writes target/s8-chaos.json;
 //!                            # seed via STARK_CHAOS_SEED)
 //!   repro stragglers `[n]`   # S9 straggler ablation (writes target/s9-stragglers.json;
-//!                            # seed via STARK_CHAOS_SEED)
+//!                            # seed via STARK_CHAOS_SEED; exits 1 unless speculation beats
+//!                            # the undefended stall, min of 3 interleaved runs)
 //!   repro memory `[n]`       # S10 memory-governance ablation (writes target/s10-memory.json;
 //!                            # seed via STARK_CHAOS_SEED)
 //!   repro service `[n]`      # S11 query-service load + fairness (writes target/s11-service.json;
@@ -27,7 +29,38 @@
 //! `repro figure4 1000000` (takes a while on a small machine).
 
 use stark_bench::experiments;
+use stark_bench::Table;
 use stark_engine::Context;
+
+/// Interleaved runs behind each wall-clock gate.
+const GATE_RUNS: usize = 3;
+
+/// Wall-clock gate over interleaved runs of a two-arm ablation: every run
+/// times both arms back to back, each arm keeps its fastest time (the
+/// `col` cell of rows `arms`), and the process exits 1 unless
+/// `holds(base, arm)`. Min-of-k discounts the load spikes a single pair
+/// of runs cannot.
+fn timing_gate(
+    tag: &str,
+    runs: &[Table],
+    arms: (usize, usize),
+    col: usize,
+    what: &str,
+    holds: impl Fn(f64, f64) -> bool,
+) {
+    let best = |row: usize| {
+        runs.iter()
+            .map(|t| t.rows[row][col].parse::<f64>().expect("time cell"))
+            .fold(f64::INFINITY, f64::min)
+    };
+    let (base, arm) = (best(arms.0), best(arms.1));
+    let held = holds(base, arm);
+    let verdict = if held { "ok" } else { "FAILED" };
+    eprintln!("[{tag}] gate {what}: min-of-{} {base:.3}s vs {arm:.3}s: {verdict}", runs.len());
+    if !held {
+        std::process::exit(1);
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -103,17 +136,22 @@ fn main() {
     }
     if run("fusion") {
         ran = true;
-        let t = experiments::fusion(ctx.parallelism(), n.unwrap_or(200_000), 5);
+        let runs: Vec<Table> = (0..GATE_RUNS)
+            .map(|_| experiments::fusion(ctx.parallelism(), n.unwrap_or(200_000), 5))
+            .collect();
+        let t = &runs[0];
         print!("{}", t.render());
         println!();
         // machine-readable copy for CI artifacts
-        let json = serde_json::to_string_pretty(&t).expect("serialise S7 table");
+        let json = serde_json::to_string_pretty(t).expect("serialise S7 table");
         let path = std::env::var("S7_JSON").unwrap_or_else(|_| "target/s7-fusion.json".into());
         if let Some(dir) = std::path::Path::new(&path).parent() {
             let _ = std::fs::create_dir_all(dir);
         }
         std::fs::write(&path, json).expect("write S7 json");
         eprintln!("[s7] wrote {path}");
+        // rows: 0 = fusion off, 1 = on; column 2 = time [s]
+        timing_gate("s7", &runs, (0, 1), 2, "fused <= 1.25x unfused", |off, on| on <= off * 1.25);
     }
     if run("columnar") {
         ran = true;
@@ -206,17 +244,23 @@ fn main() {
             .ok()
             .map(|s| s.trim().parse().expect("STARK_CHAOS_SEED must be a u64"))
             .unwrap_or(0xC4A05);
-        let t = experiments::stragglers(ctx.parallelism(), n.unwrap_or(100_000), seed);
+        let runs: Vec<Table> = (0..GATE_RUNS)
+            .map(|_| experiments::stragglers(ctx.parallelism(), n.unwrap_or(100_000), seed))
+            .collect();
+        let t = &runs[0];
         print!("{}", t.render());
         println!();
         // machine-readable copy for CI artifacts
-        let json = serde_json::to_string_pretty(&t).expect("serialise S9 table");
+        let json = serde_json::to_string_pretty(t).expect("serialise S9 table");
         let path = std::env::var("S9_JSON").unwrap_or_else(|_| "target/s9-stragglers.json".into());
         if let Some(dir) = std::path::Path::new(&path).parent() {
             let _ = std::fs::create_dir_all(dir);
         }
         std::fs::write(&path, json).expect("write S9 json");
         eprintln!("[s9] wrote {path}");
+        // rows: 1 = delay faults without defence, 2 = with speculation;
+        // column 3 = time [s]
+        timing_gate("s9", &runs, (1, 2), 3, "speculation < no defence", |off, on| on < off);
     }
     if run("memory") {
         ran = true;

@@ -1773,14 +1773,13 @@ mod tests {
         let injected: u64 = t.rows[1][4].parse().unwrap();
         assert!(injected > 0, "seeded 15% delay rate must inject at this scale");
         assert_eq!(t.rows[1][2], t.rows[0][2], "stalls must not change results");
-        // speculation completes strictly faster, with identical results
+        // a speculative duplicate beats a stalled attempt, with identical
+        // results (the wall-clock win is gated by `repro stragglers` over
+        // interleaved min-of-k runs)
         assert_eq!(t.rows[2][1], "yes");
         assert_eq!(t.rows[2][2], t.rows[0][2], "speculation must not change results");
         assert!(t.rows[2][5].parse::<u64>().unwrap() >= 1, "duplicates must launch: {t:?}");
         assert!(t.rows[2][6].parse::<u64>().unwrap() >= 1, "a duplicate must win: {t:?}");
-        let off: f64 = t.rows[1][3].parse().unwrap();
-        let on: f64 = t.rows[2][3].parse().unwrap();
-        assert!(on < off, "speculation must beat waiting out the stall: on={on}s off={off}s");
         // a deadline tighter than the stall fails typed (recorded in the
         // engine metric), never hangs...
         assert_eq!(t.rows[3][1], "NO");
@@ -1928,10 +1927,12 @@ mod tests {
         // every pass reads the cache via Arc-sharing in both modes
         assert!(t.rows[0][5].parse::<u64>().unwrap() > 0);
         assert!(t.rows[1][5].parse::<u64>().unwrap() > 0);
-        // fused must not be slower than unfused beyond noise
-        let off: f64 = t.rows[0][2].parse().unwrap();
-        let on: f64 = t.rows[1][2].parse().unwrap();
-        assert!(on <= off * 1.25, "fusion slower than unfused: on={on}s off={off}s");
+        // fusion never deep-clones more records than the unfused chain
+        let cloned_off: u64 = t.rows[0][4].parse().unwrap();
+        let cloned_on: u64 = t.rows[1][4].parse().unwrap();
+        assert!(cloned_on <= cloned_off, "{t:?}");
+        // the wall-clock comparison is gated by `repro fusion` over
+        // interleaved min-of-k runs, not on one pair of millisecond runs
     }
 
     #[test]

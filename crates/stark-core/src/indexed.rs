@@ -378,6 +378,58 @@ mod tests {
         assert!(ctx2.metrics().diff(&before).partitions_pruned > 0);
     }
 
+    /// Bracket nesting depth of JSON text, skipping string literals.
+    fn json_depth(text: &[u8]) -> usize {
+        let (mut depth, mut max, mut in_str, mut escaped) = (0usize, 0usize, false, false);
+        for &b in text {
+            match (in_str, b) {
+                (true, _) if escaped => escaped = false,
+                (true, b'\\') => escaped = true,
+                (true, b'"') | (false, b'"') => in_str = !in_str,
+                (false, b'[' | b'{') => {
+                    depth += 1;
+                    max = max.max(depth);
+                }
+                (false, b']' | b'}') => depth -= 1,
+                _ => {}
+            }
+        }
+        max
+    }
+
+    #[test]
+    fn deepest_persisted_index_round_trips_under_the_json_depth_cap() {
+        // The tallest tree persistence can write: one partition at the
+        // minimum order, over polygons with intervals (the deepest
+        // entries), at the 2,000-row size of the largest indexed test set.
+        let ctx = Context::with_parallelism(2);
+        let data: Vec<(STObject, u32)> = (0..2000)
+            .map(|i| {
+                let (x, y) = ((i % 50) as f64, (i / 50) as f64);
+                let wkt = format!(
+                    "POLYGON(({x} {y}, {} {y}, {} {}, {x} {}, {x} {y}))",
+                    x + 0.5,
+                    x + 0.5,
+                    y + 0.5,
+                    y + 0.5
+                );
+                (STObject::from_wkt_interval(&wkt, i as i64, i as i64 + 10).unwrap(), i)
+            })
+            .collect();
+        let indexed = ctx.parallelize(data, 1).spatial().live_index(2);
+        let dir = std::env::temp_dir().join(format!("stark-core-deep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = ObjectStore::open(&dir).unwrap();
+        indexed.persist(&store, "deep").unwrap();
+
+        let depth = json_depth(&store.get_bytes("deep/part-00000.json").unwrap());
+        assert!(depth < serde::value::MAX_DEPTH, "persisted tree nests {depth} deep");
+        let loaded: IndexedSpatialRdd<u32> = IndexedSpatialRdd::load(&ctx, &store, "deep").unwrap();
+        assert_eq!(loaded.count(), 2000);
+        assert_eq!(loaded.contained_by(&qry()).count(), indexed.contained_by(&qry()).count());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn load_missing_index_fails() {
         let ctx = Context::new();

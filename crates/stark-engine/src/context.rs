@@ -201,13 +201,13 @@ impl Context {
     /// Called by consumers (the spatial filter chain) when a
     /// [`Partition::to_columns`](crate::Partition) builder actually runs.
     pub fn note_columnar_batch_built(&self) {
-        self.inner.metrics.inc_columnar_batches_built(1);
+        self.inner.metrics.columnar_batches_built.add(1);
     }
 
     /// Records `n` rows scanned by a columnar kernel in
     /// [`MetricsSnapshot::rows_scanned_columnar`](crate::MetricsSnapshot).
     pub fn note_rows_scanned_columnar(&self, n: u64) {
-        self.inner.metrics.inc_rows_scanned_columnar(n);
+        self.inner.metrics.rows_scanned_columnar.add(n);
     }
 
     /// The per-task retry budget (see [`EngineConfig::max_task_retries`]).

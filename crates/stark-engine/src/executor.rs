@@ -228,7 +228,7 @@ fn run_attempt<T: Data, R>(
         return Err(cancel_error(reason, i, stage, attempt + 1));
     }
     let metrics = ctx.raw_metrics();
-    metrics.inc_tasks(1);
+    metrics.tasks_launched.add(1);
     let _governing = cancel::scope(Arc::clone(token));
     let started = Instant::now();
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -239,14 +239,14 @@ fn run_attempt<T: Data, R>(
     }))
     .map_err(|payload| classify(payload, i, stage, attempt + 1))
     .and_then(|data| {
-        metrics.inc_records(data.len() as u64);
+        metrics.records_read.add(data.len() as u64);
         let payload_records = data.len();
         std::panic::catch_unwind(AssertUnwindSafe(|| f(i, data))).map_err(|payload| TaskError {
             payload_records,
             ..classify(payload, i, stage, attempt + 1)
         })
     });
-    metrics.add_task_nanos(started.elapsed().as_nanos() as u64);
+    metrics.task_nanos.add(started.elapsed().as_nanos() as u64);
     result
 }
 
@@ -278,17 +278,17 @@ fn run_task<T: Data, R>(
                     // Cooperative abort: the token stays tripped, so a
                     // retry would fail identically. Not a permanent
                     // *failure* either — the work was abandoned, not lost.
-                    metrics.inc_tasks_cancelled(1);
+                    metrics.tasks_cancelled.add(1);
                     return Err(e);
                 }
                 if !e.kind.is_retryable() || attempt >= budget {
-                    metrics.inc_tasks_failed_permanently(1);
+                    metrics.tasks_failed_permanently.add(1);
                     return Err(e);
                 }
                 // Lineage-based recovery: drop any cached value for this
                 // partition so the retry recomputes it from scratch.
-                metrics.inc_tasks_retried(1);
-                metrics.inc_partitions_recomputed(1);
+                metrics.tasks_retried.add(1);
+                metrics.partitions_recomputed.add(1);
                 inner.evict(i);
                 if !backoff.is_zero() {
                     // Jittered exponential backoff: scale by a seeded
@@ -411,7 +411,7 @@ pub(crate) fn try_run_partitions<T: Data, R: Send>(
             }
             if r.is_ok() {
                 if speculative {
-                    metrics.inc_speculative_wins(1);
+                    metrics.speculative_wins.add(1);
                 }
                 durations.lock().expect("durations poisoned").push(elapsed);
             }
@@ -469,7 +469,7 @@ pub(crate) fn try_run_partitions<T: Data, R: Send>(
                     }
                     match next_straggler() {
                         Some(straggler) => {
-                            metrics.inc_tasks_speculated(1);
+                            metrics.tasks_speculated.add(1);
                             run_one(straggler, true);
                         }
                         None => std::thread::sleep(SPECULATION_POLL),
@@ -491,11 +491,11 @@ pub(crate) fn try_run_partitions<T: Data, R: Send>(
 
     if let Err(e) = &outcome {
         if e.kind == TaskErrorKind::DeadlineExceeded && depth.is_top_level() {
-            ctx.raw_metrics().inc_deadline_exceeded_jobs(1);
+            ctx.raw_metrics().deadline_exceeded_jobs.add(1);
         }
     }
     if depth.is_top_level() {
-        ctx.raw_metrics().add_job_nanos(job_started.elapsed().as_nanos() as u64);
+        ctx.raw_metrics().job_nanos.add(job_started.elapsed().as_nanos() as u64);
     }
     outcome
 }

@@ -154,7 +154,7 @@ impl MemoryManager {
 
     fn record_reservation(self: &Arc<Self>, bytes: u64) -> MemoryReservation {
         let now = self.reserved.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.metrics.record_bytes_reserved_peak(now);
+        self.metrics.bytes_reserved_peak.raise(now);
         MemoryReservation { manager: Arc::clone(self), bytes }
     }
 
@@ -224,18 +224,24 @@ impl MemoryManager {
         let mut victims = self.victims.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         // Oldest-touch-first scan. The list is small (one entry per
         // cached/checkpointed partition cell constructed on the context),
-        // and eviction is already the slow path.
-        let mut order: Vec<usize> = (0..victims.len()).collect();
-        order.sort_by_key(|&i| victims[i].last_touch.load(Ordering::Relaxed));
+        // and eviction is already the slow path. The stamps are read once
+        // before sorting: running tasks touch them concurrently, and a key
+        // that changes mid-sort breaks the total order the sort requires.
+        let mut order: Vec<(u64, usize)> = victims
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (v.last_touch.load(Ordering::Relaxed), i))
+            .collect();
+        order.sort_unstable();
         let mut gone: Vec<usize> = Vec::new();
-        for i in order {
+        for (_, i) in order {
             if fits(self) {
                 break;
             }
             match (victims[i].evict)() {
                 VictimState::Evicted(bytes) => {
                     debug_assert!(bytes > 0);
-                    self.metrics.inc_partitions_evicted_for_pressure(1);
+                    self.metrics.partitions_evicted_for_pressure.add(1);
                 }
                 VictimState::Empty => {}
                 VictimState::Gone => gone.push(i),

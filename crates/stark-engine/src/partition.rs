@@ -134,7 +134,7 @@ impl<T: Clone> Partition<T> {
         match Arc::try_unwrap(self.repr) {
             Ok(repr) => repr.data,
             Err(shared) => {
-                metrics.inc_records_cloned(shared.data.len() as u64);
+                metrics.records_cloned.add(shared.data.len() as u64);
                 shared.data.clone()
             }
         }
@@ -146,7 +146,7 @@ impl<T: Clone> Partition<T> {
         match Arc::try_unwrap(self.repr) {
             Ok(repr) => PartitionIntoIter::Owned(repr.data.into_iter()),
             Err(shared) => {
-                metrics.inc_records_cloned(shared.data.len() as u64);
+                metrics.records_cloned.add(shared.data.len() as u64);
                 PartitionIntoIter::Shared { data: Partition { repr: shared }, next: 0 }
             }
         }

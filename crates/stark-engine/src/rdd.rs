@@ -154,7 +154,7 @@ impl<T: Data> RddImpl<T> for ParallelCollection<T> {
     }
     fn compute(&self, partition: usize) -> Partition<T> {
         let p = self.partitions[partition].clone();
-        self.ctx.raw_metrics().add_clone_bytes_avoided(p.shallow_bytes());
+        self.ctx.raw_metrics().clone_bytes_avoided.add(p.shallow_bytes());
         p
     }
 }
@@ -274,7 +274,7 @@ impl<T: Data> RddImpl<T> for MaskRdd<T> {
         if self.mask[partition] {
             self.parent.compute(partition)
         } else {
-            self.ctx.raw_metrics().inc_pruned(1);
+            self.ctx.raw_metrics().partitions_pruned.add(1);
             Partition::empty()
         }
     }
@@ -375,7 +375,7 @@ impl<T: StoreData> ShuffledRdd<T> {
         &self
             .buckets
             .get_or_init(|| {
-                self.ctx.raw_metrics().inc_shuffles();
+                self.ctx.raw_metrics().shuffles.add(1);
                 let shuffle = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
                 let memory = Arc::clone(self.ctx.memory());
                 let per_task: Vec<TaskBuckets<T>> = executor::run_partitions(
@@ -450,8 +450,8 @@ impl<T: StoreData> ShuffledRdd<T> {
                 .unwrap_or_else(|e| panic!("spilling shuffle bucket {key:?} failed: {e}"));
             written.push(b);
         }
-        metrics.add_bytes_spilled(spilled);
-        metrics.inc_spill_blobs_written(written.len() as u64);
+        metrics.bytes_spilled.add(spilled);
+        metrics.spill_blobs_written.add(written.len() as u64);
         TaskBuckets::Spilled { task, written }
     }
 }
@@ -462,7 +462,7 @@ impl<T: StoreData> RddImpl<T> for ShuffledRdd<T> {
     }
     fn compute(&self, partition: usize) -> Partition<T> {
         let p = self.materialize()[partition].clone();
-        self.ctx.raw_metrics().add_clone_bytes_avoided(p.shallow_bytes());
+        self.ctx.raw_metrics().clone_bytes_avoided.add(p.shallow_bytes());
         p
     }
     // evict: intentionally a no-op. Shuffle buckets materialise as a
@@ -546,7 +546,7 @@ impl<T: Data> RddImpl<T> for CachedRdd<T> {
         };
         drop(cell);
         self.ctx.memory().touch(&self.touches[partition]);
-        self.ctx.raw_metrics().add_clone_bytes_avoided(p.shallow_bytes());
+        self.ctx.raw_metrics().clone_bytes_avoided.add(p.shallow_bytes());
         p
     }
     fn evict(&self, partition: usize) {
@@ -591,7 +591,7 @@ impl<T: StoreData> RddImpl<T> for CheckpointRdd<T> {
             let p = p.clone();
             drop(cell);
             self.ctx.memory().touch(&self.touches[partition]);
-            self.ctx.raw_metrics().add_clone_bytes_avoided(p.shallow_bytes());
+            self.ctx.raw_metrics().clone_bytes_avoided.add(p.shallow_bytes());
             return p;
         }
         // Recovery path: the in-memory copy was evicted (task failure,
@@ -1006,7 +1006,7 @@ impl<T: Data> Rdd<T> {
             total_bytes += store.put_json_sized(&checkpoint_blob_key(key, i), p.as_slice())?;
         }
         store.put_json(&format!("{key}/manifest"), &(parts.len() as u64))?;
-        self.ctx.raw_metrics().add_checkpoint_bytes(total_bytes);
+        self.ctx.raw_metrics().checkpoint_bytes.add(total_bytes);
         // Keep each partition in memory only under a granted budget
         // reservation; a declined cell starts empty and is re-read from
         // its (just written) blob on first access — byte-identical.
@@ -1046,7 +1046,7 @@ impl<T: Data> Rdd<T> {
         &self,
         f: impl Fn(usize, Partition<T>) -> R + Send + Sync,
     ) -> Vec<R> {
-        self.ctx.raw_metrics().inc_jobs();
+        self.ctx.raw_metrics().jobs.add(1);
         executor::run_partitions(&self.ctx, &self.inner, f)
     }
 
@@ -1057,7 +1057,7 @@ impl<T: Data> Rdd<T> {
         &self,
         f: impl Fn(usize, Partition<T>) -> R + Send + Sync,
     ) -> Result<Vec<R>, TaskError> {
-        self.ctx.raw_metrics().inc_jobs();
+        self.ctx.raw_metrics().jobs.add(1);
         executor::try_run_partitions(&self.ctx, &self.inner, f)
     }
 

@@ -28,7 +28,7 @@
 //! pin `tasks_reassigned == injected` and byte-identical results.
 
 use crate::fault::{splitmix64, FetchChaos, TransportChaos, TransportPolicy};
-use crate::metrics::Metrics;
+use crate::metrics::counters;
 use crate::plan::{
     shuffle_bucket_key, PlanFragment, PlanInput, PlanOp, PlanSink, TaskOutput, TaskResult,
 };
@@ -89,8 +89,6 @@ pub struct WorkerPoolConfig {
     /// run before giving up (a fetch failure that survives this many
     /// re-productions is not transient).
     pub max_shuffle_regens: u32,
-    /// Engine metrics to mirror pool counters into.
-    pub metrics: Option<Arc<Metrics>>,
     /// Seed for the respawn-backoff jitter.
     pub seed: u64,
 }
@@ -111,7 +109,6 @@ impl WorkerPoolConfig {
             chaos: None,
             fetch_chaos: None,
             max_shuffle_regens: 4,
-            metrics: None,
             seed: 0xC4A05,
         }
     }
@@ -216,33 +213,46 @@ impl From<io::Error> for PoolError {
     }
 }
 
-/// Pool-level counters, readable at any time via [`WorkerPool::stats`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub struct PoolStats {
-    pub workers_spawned: u64,
-    pub workers_lost: u64,
-    pub workers_respawned: u64,
-    pub tasks_dispatched: u64,
-    pub tasks_completed: u64,
-    /// Tasks re-run after a worker-reported (retryable) failure.
-    pub tasks_retried: u64,
-    /// Tasks re-run because their worker was lost mid-flight.
-    pub tasks_reassigned: u64,
-    pub heartbeats: u64,
-    pub bytes_tx: u64,
-    pub bytes_rx: u64,
-    /// Remote-shuffle fetch attempts beyond the first, summed over all
-    /// workers (each struck transfer costs exactly one retry).
-    pub fetch_retries: u64,
-    /// Fetches that exhausted their retry budget or hit a stale epoch.
-    pub fetch_failures: u64,
-    /// Registered map outputs invalidated because their producer died
-    /// or served unusable bytes.
-    pub map_outputs_lost: u64,
-    /// Map outputs re-produced via lineage at a bumped shuffle epoch.
-    pub map_outputs_regenerated: u64,
-    /// Bucket payload bytes pulled over peer-to-peer fetch connections.
-    pub shuffle_bytes_fetched_remote: u64,
+counters! {
+    /// The pool's live counters, shared with the per-worker reader threads.
+    pub(crate) struct PoolCounters;
+    /// Pool-level counters, readable at any time via [`WorkerPool::stats`].
+    pub struct PoolStats {
+        /// Worker processes forked (initial spawns and respawns both count).
+        workers_spawned: sum,
+        /// Workers declared lost (crash, heartbeat silence, torn frame or a
+        /// blown task deadline).
+        workers_lost: sum,
+        /// Lost worker seats successfully brought back.
+        workers_respawned: sum,
+        /// Plan-fragment tasks dispatched to worker processes.
+        tasks_dispatched: sum,
+        /// Tasks whose first result the driver accepted.
+        tasks_completed: sum,
+        /// Tasks re-run after a worker-reported (retryable) failure.
+        tasks_retried: sum,
+        /// Tasks re-run because their worker was lost mid-flight.
+        tasks_reassigned: sum,
+        /// Heartbeat frames received, summed over all reader threads.
+        heartbeats: sum,
+        /// Row-payload bytes shipped driver → workers.
+        bytes_tx: sum,
+        /// Row-payload bytes received workers → driver.
+        bytes_rx: sum,
+        /// Remote-shuffle fetch attempts beyond the first, summed over all
+        /// workers (each struck transfer costs exactly one retry).
+        fetch_retries: sum,
+        /// Fetches that exhausted their retry budget or hit a stale epoch.
+        fetch_failures: sum,
+        /// Registered map outputs invalidated because their producer died
+        /// or served unusable bytes.
+        map_outputs_lost: sum,
+        /// Map outputs re-produced via lineage at a bumped shuffle epoch.
+        /// Recovery is exact when this equals `map_outputs_lost`.
+        map_outputs_regenerated: sum,
+        /// Bucket payload bytes pulled over peer-to-peer fetch connections.
+        shuffle_bytes_fetched_remote: sum,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -401,8 +411,7 @@ pub struct WorkerPool {
     events_rx: Receiver<Event>,
     events_tx: Sender<Event>,
     store: ObjectStore,
-    heartbeats: Arc<AtomicU64>,
-    stats: PoolStats,
+    counters: Arc<PoolCounters>,
     /// Map-output registry, one per remote-shuffle stage prefix.
     map_outputs: HashMap<String, ShuffleRegistry>,
     /// Monotonic job counter — part of the chaos draw identity.
@@ -441,8 +450,7 @@ impl WorkerPool {
             events_rx,
             events_tx,
             store,
-            heartbeats: Arc::new(AtomicU64::new(0)),
-            stats: PoolStats::default(),
+            counters: Arc::default(),
             map_outputs: HashMap::new(),
             jobs: 0,
             closed: false,
@@ -473,22 +481,14 @@ impl WorkerPool {
         &self.store
     }
 
-    /// Pool counters (heartbeats are read from the reader threads).
+    /// Pool counters.
     pub fn stats(&self) -> PoolStats {
-        let mut s = self.stats;
-        s.heartbeats = self.heartbeats.load(Ordering::Relaxed);
-        s
+        self.counters.snapshot()
     }
 
     /// Number of workers currently live (connected and not timed out).
     pub fn live_workers(&self) -> usize {
         self.slots.iter().filter(|s| s.is_live()).count()
-    }
-
-    fn metric(&self, f: impl Fn(&Metrics)) {
-        if let Some(m) = &self.cfg.metrics {
-            f(m);
-        }
     }
 
     /// Forks one worker for `seat` and completes the Hello handshake.
@@ -566,15 +566,14 @@ impl WorkerPool {
         slot.state = SlotState::Idle;
         *slot.last_seen.lock().unwrap() = Instant::now();
         slot.next_respawn = None;
-        self.stats.workers_spawned += 1;
-        self.metric(|m| m.inc_workers_spawned());
+        self.counters.workers_spawned.add(1);
 
         // Reader thread: forwards messages and reports connection loss.
         let gen = self.slots[seat].gen;
         let tx = self.events_tx.clone();
         let last_seen = self.slots[seat].last_seen.clone();
-        let heartbeats = self.heartbeats.clone();
-        std::thread::spawn(move || reader_loop(hello_reader, seat, gen, tx, last_seen, heartbeats));
+        let counters = self.counters.clone();
+        std::thread::spawn(move || reader_loop(hello_reader, seat, gen, tx, last_seen, counters));
         Ok(())
     }
 
@@ -818,12 +817,8 @@ impl WorkerPool {
                 regenerated += 1;
             }
         }
-        self.stats.map_outputs_lost += lost;
-        self.stats.map_outputs_regenerated += regenerated;
-        self.metric(|m| {
-            m.inc_map_outputs_lost(lost);
-            m.inc_map_outputs_regenerated(regenerated);
-        });
+        self.counters.map_outputs_lost.add(lost);
+        self.counters.map_outputs_regenerated.add(regenerated);
         Ok(())
     }
 
@@ -836,8 +831,7 @@ impl WorkerPool {
         reg.entries.retain(|_, e| live[e.seat] == (e.gen, true));
         let lost = (before - reg.entries.len()) as u64;
         if lost > 0 {
-            self.stats.map_outputs_lost += lost;
-            self.metric(|m| m.inc_map_outputs_lost(lost));
+            self.counters.map_outputs_lost.add(lost);
         }
         lost
     }
@@ -959,8 +953,7 @@ impl WorkerPool {
                 self.slots[seat].respawns_left -= 1;
                 match self.spawn_worker(seat) {
                     Ok(()) => {
-                        self.stats.workers_respawned += 1;
-                        self.metric(|m| m.inc_workers_respawned());
+                        self.counters.workers_respawned.add(1);
                     }
                     Err(_) if self.slots[seat].respawns_left > 0 => {
                         // schedule another attempt, backoff grown
@@ -1015,8 +1008,7 @@ impl WorkerPool {
         let policy = self.cfg.chaos.as_ref().and_then(|c| c.draw(job, task as u64, attempt));
         let deadline = Instant::now() + self.cfg.task_timeout;
         self.slots[seat].state = SlotState::Busy { task, attempt, deadline };
-        self.stats.tasks_dispatched += 1;
-        self.metric(|m| m.inc_remote_tasks());
+        self.counters.tasks_dispatched.add(1);
 
         let msg = DriverMsg::Task {
             id: task as u64,
@@ -1061,8 +1053,7 @@ impl WorkerPool {
         };
         send_result.map_err(|e| format!("dispatch: {e}"))?;
         let _ = writer.flush();
-        self.stats.bytes_tx += payload_len;
-        self.metric(|m| m.add_remote_bytes_tx(payload_len));
+        self.counters.bytes_tx.add(payload_len);
         Ok(())
     }
 
@@ -1090,21 +1081,16 @@ impl WorkerPool {
                         let task = id as usize;
                         self.slots[seat].state = SlotState::Idle;
                         self.slots[seat].consecutive_failures = 0;
-                        self.stats.fetch_retries += fetch_retries;
-                        self.stats.shuffle_bytes_fetched_remote += fetch_bytes;
-                        self.metric(|m| {
-                            m.inc_fetch_retries(fetch_retries);
-                            m.add_shuffle_bytes_fetched_remote(fetch_bytes);
-                        });
+                        self.counters.fetch_retries.add(fetch_retries);
+                        self.counters.shuffle_bytes_fetched_remote.add(fetch_bytes);
                         if results[task].is_some() {
                             return Ok(()); // duplicate of an already-recovered task
                         }
                         let bytes = rows.as_ref().map(|r| r.len() as u64).unwrap_or(0);
-                        self.stats.bytes_rx += bytes;
-                        self.metric(|m| m.add_remote_bytes_rx(bytes));
+                        self.counters.bytes_rx.add(bytes);
                         results[task] = Some((TaskResult { output, payload: rows }, seat, gen));
                         *done += 1;
-                        self.stats.tasks_completed += 1;
+                        self.counters.tasks_completed.add(1);
                     }
                     WorkerMsg::TaskErr { id, message, retryable, fetch_retries, fetch } => {
                         let busy = match self.slots[seat].state {
@@ -1115,13 +1101,11 @@ impl WorkerPool {
                         };
                         let Some((task, attempt)) = busy else { return Ok(()) };
                         self.slots[seat].state = SlotState::Idle;
-                        self.stats.fetch_retries += fetch_retries;
-                        self.metric(|m| m.inc_fetch_retries(fetch_retries));
+                        self.counters.fetch_retries.add(fetch_retries);
                         if let Some(failure) = fetch {
                             // escalate to the lost-output recovery loop
                             // instead of burning generic task retries
-                            self.stats.fetch_failures += 1;
-                            self.metric(|m| m.inc_fetch_failures(1));
+                            self.counters.fetch_failures.add(1);
                             return Err(PoolError::FetchFailed { task, failure });
                         }
                         if !retryable {
@@ -1134,7 +1118,7 @@ impl WorkerPool {
                                 last: message,
                             });
                         }
-                        self.stats.tasks_retried += 1;
+                        self.counters.tasks_retried.add(1);
                         pending.push_back((task, attempt + 1));
                     }
                     // liveness traffic is consumed by the reader thread
@@ -1186,8 +1170,7 @@ impl WorkerPool {
                 // lineage-based reassignment: the task's input is either
                 // inline (driver still holds it) or in the shared store,
                 // so any survivor can recompute it
-                self.stats.tasks_reassigned += 1;
-                self.metric(|m| m.inc_tasks_reassigned());
+                self.counters.tasks_reassigned.add(1);
                 pending.push_back((task, attempt + 1));
             }
         }
@@ -1196,8 +1179,7 @@ impl WorkerPool {
         let exp = slot.consecutive_failures;
         slot.consecutive_failures = slot.consecutive_failures.saturating_add(1);
         let respawnable = slot.respawns_left > 0;
-        self.stats.workers_lost += 1;
-        self.metric(|m| m.inc_workers_lost());
+        self.counters.workers_lost.add(1);
         if respawnable {
             let wait = self.jittered_backoff(exp);
             self.slots[seat].next_respawn = Some(Instant::now() + wait);
@@ -1336,14 +1318,14 @@ fn reader_loop(
     gen: u64,
     tx: Sender<Event>,
     last_seen: Arc<Mutex<Instant>>,
-    heartbeats: Arc<AtomicU64>,
+    counters: Arc<PoolCounters>,
 ) {
     loop {
         match recv_msg::<WorkerMsg>(&mut reader) {
             Ok(Some(msg)) => {
                 *last_seen.lock().unwrap() = Instant::now();
                 if matches!(msg, WorkerMsg::Heartbeat { .. }) {
-                    heartbeats.fetch_add(1, Ordering::Relaxed);
+                    counters.heartbeats.add(1);
                     continue;
                 }
                 let rows = if matches!(&msg, WorkerMsg::TaskOk { output, .. } if output.has_payload())

@@ -206,6 +206,18 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_frames_are_invalid_data_not_a_stack_overflow() {
+        // CRC-valid frames that would recurse the decoder 100k levels deep
+        for open in ["[", "{\"a\":"] {
+            let mut buf = Vec::new();
+            write_frame(&mut buf, open.repeat(100_000).as_bytes()).unwrap();
+            let err = recv_msg::<DriverMsg>(&mut Cursor::new(&buf)).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("nesting deeper than"), "{err}");
+        }
+    }
+
+    #[test]
     fn oversized_length_prefix_is_rejected_before_allocation() {
         let mut buf = Vec::new();
         buf.extend_from_slice(&u32::MAX.to_le_bytes());

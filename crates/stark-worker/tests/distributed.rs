@@ -1,5 +1,7 @@
 //! Multi-process execution tests: a [`WorkerPool`] forking real
-//! `stark-engine-worker` processes over TCP, with transport chaos.
+//! `stark-worker` processes over TCP, with transport chaos. The tests
+//! run the engine's built-in `i64` schema, which the worker registers
+//! beside the spatial `event` schema.
 //!
 //! Every chaos test pins the two supervision invariants: results are
 //! byte-identical to a fault-free run, and `tasks_reassigned` equals the
@@ -17,7 +19,7 @@ use stark_engine::{
 use std::sync::Arc;
 use std::time::Duration;
 
-const WORKER: &str = env!("CARGO_BIN_EXE_stark-engine-worker");
+const WORKER: &str = env!("CARGO_BIN_EXE_stark-worker");
 
 fn pool_config(workers: usize) -> WorkerPoolConfig {
     let mut cfg = WorkerPoolConfig::new(WORKER);

@@ -22,11 +22,10 @@ use stark::{GridPartitioner, STPredicate, SpatialPartitioner};
 use stark_engine::plan::{
     decode_rows, encode_rows, PlanFragment, PlanInput, PlanOp, PlanSink, TaskOutput,
 };
-use stark_engine::supervisor::{bucket_keys_for_partition, find_worker_bin, DistTask};
+use stark_engine::supervisor::{bucket_keys_for_partition, DistTask};
 use stark_engine::{TaskResult, TransportChaos, TransportPolicy, WorkerPool, WorkerPoolConfig};
 use stark_eventsim::EventGenerator;
 use stark_geo::Envelope;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 const DEFAULT_CHAOS_SEED: u64 = 0xC4A05;
@@ -38,10 +37,7 @@ fn chaos_seed() -> u64 {
     }
 }
 
-fn worker_bin() -> PathBuf {
-    find_worker_bin("stark-worker")
-        .expect("stark-worker binary not built; `cargo test` builds workspace bins first")
-}
+const WORKER: &str = env!("CARGO_BIN_EXE_stark-worker");
 
 fn space() -> Envelope {
     Envelope::from_bounds(0.0, 0.0, 1000.0, 1000.0)
@@ -61,7 +57,7 @@ fn grid_for(data: &[EventRow]) -> GridPartitioner {
 
 fn kill_pool(workers: usize) -> (WorkerPool, Arc<TransportChaos>) {
     let chaos = Arc::new(TransportChaos::once(TransportPolicy::KillWorker));
-    let mut cfg = WorkerPoolConfig::new(worker_bin());
+    let mut cfg = WorkerPoolConfig::new(WORKER);
     cfg.workers = workers;
     cfg.chaos = Some(chaos.clone());
     (WorkerPool::spawn(cfg).expect("spawn chaos pool"), chaos)

@@ -23,13 +23,12 @@ use proptest::prelude::*;
 use stark::distributed::{to_arg, EventRow, SelfJoinArg, StFilterArg};
 use stark::{GridPartitioner, STPredicate, SpatialPartitioner};
 use stark_engine::plan::{decode_rows, encode_rows, PlanFragment, PlanInput, PlanOp, PlanSink};
-use stark_engine::supervisor::{find_worker_bin, DistTask};
+use stark_engine::supervisor::DistTask;
 use stark_engine::{
     FetchChaos, FetchPolicy, ShuffleMode, ShuffleSpec, TaskResult, WorkerPool, WorkerPoolConfig,
 };
 use stark_eventsim::EventGenerator;
 use stark_geo::Envelope;
-use std::path::PathBuf;
 use std::time::Duration;
 
 const DEFAULT_CHAOS_SEED: u64 = 0xC4A05;
@@ -41,10 +40,7 @@ fn chaos_seed() -> u64 {
     }
 }
 
-fn worker_bin() -> PathBuf {
-    find_worker_bin("stark-worker")
-        .expect("stark-worker binary not built; `cargo test` builds workspace bins first")
-}
+const WORKER: &str = env!("CARGO_BIN_EXE_stark-worker");
 
 fn space() -> Envelope {
     Envelope::from_bounds(0.0, 0.0, 1000.0, 1000.0)
@@ -63,7 +59,7 @@ fn grid_for(data: &[EventRow]) -> GridPartitioner {
 }
 
 fn shuffle_pool(workers: usize, fetch_chaos: Option<FetchChaos>) -> WorkerPool {
-    let mut cfg = WorkerPoolConfig::new(worker_bin());
+    let mut cfg = WorkerPoolConfig::new(WORKER);
     cfg.workers = workers;
     cfg.fetch_chaos = fetch_chaos;
     cfg.respawn_backoff = Duration::from_millis(10);
