@@ -13,9 +13,7 @@ use stark::{
 use stark_baselines::{
     broadcast_join, geospark_join, spatialspark_join, GeoSparkConfig, RegionScheme,
 };
-use stark_engine::{
-    Context, EngineConfig, FaultInjector, FaultPolicy, FaultScope, ObjectStore, TaskError,
-};
+use stark_engine::{Context, EngineConfig, Fault, FaultPlan, ObjectStore, Target, TaskError};
 use stark_geo::{Coord, DistanceFn};
 use std::sync::Arc;
 
@@ -880,11 +878,11 @@ pub fn chaos(parallelism: usize, n: usize, seed: u64) -> Table {
     std::panic::set_hook(Box::new(|_| {}));
     let mut baseline: Option<std::time::Duration> = None;
     for c in configs {
-        let injector = c.faults.then(|| Arc::new(FaultInjector::transient(seed, 0.10)));
+        let injector = c.faults.then(|| Arc::new(FaultPlan::transient(seed, 0.10)));
         let ctx = Context::with_config(EngineConfig {
             parallelism,
             max_task_retries: c.retries,
-            fault_injector: injector.clone(),
+            faults: injector.clone(),
             ..EngineConfig::default()
         });
         let (outcome, time) = timed(|| run_pipeline(&ctx, c.checkpoint.then_some(&store)));
@@ -1022,16 +1020,10 @@ pub fn stragglers(parallelism: usize, n: usize, seed: u64) -> Table {
     std::panic::set_hook(Box::new(|_| {}));
     let mut no_defence: Option<std::time::Duration> = None;
     for c in configs {
-        let injector = c.faults.then(|| {
-            Arc::new(FaultInjector::new(
-                seed,
-                FaultScope::Probability(0.15),
-                FaultPolicy::Delay(stall),
-            ))
-        });
+        let injector = c.faults.then(|| Arc::new(FaultPlan::new(seed, 0.15, Fault::Delay(stall))));
         let ctx = Context::with_config(EngineConfig {
             parallelism,
-            fault_injector: injector.clone(),
+            faults: injector.clone(),
             speculation: c.speculation,
             speculation_quantile: 0.5,
             speculation_multiplier: 1.5,
@@ -1072,7 +1064,7 @@ pub fn stragglers(parallelism: usize, n: usize, seed: u64) -> Table {
 /// unbounded to measure its reserved-bytes peak, then re-run under a
 /// budget of a quarter of that peak — shuffle buckets spill to the
 /// object store and cached partitions evict LRU-first — and finally
-/// under [`FaultPolicy::MemoryPressure`] chaos strikes that shrink the
+/// under [`Fault::MemoryPressure`] chaos strikes that shrink the
 /// effective budget mid-job. Output must be identical in every row.
 pub fn memory(parallelism: usize, n: usize, seed: u64) -> Table {
     let mut t = Table::new(
@@ -1132,10 +1124,10 @@ pub fn memory(parallelism: usize, n: usize, seed: u64) -> Table {
     for c in configs {
         let budget = c.budget.map(|_| (peak / 4).max(1));
         let injector =
-            c.pressure.then(|| Arc::new(FaultInjector::memory_pressure(seed, 0.10, peak / 4)));
+            c.pressure.then(|| Arc::new(FaultPlan::memory_pressure(seed, 0.10, peak / 4)));
         let ctx = Context::with_config(EngineConfig {
             parallelism,
-            fault_injector: injector.clone(),
+            faults: injector.clone(),
             memory_budget: budget,
             ..EngineConfig::default()
         });
@@ -1309,7 +1301,7 @@ pub fn distributed(n: usize, workers: usize) -> Table {
         decode_rows, encode_rows, PlanFragment, PlanInput, PlanOp, PlanSink, TaskOutput,
     };
     use stark_engine::supervisor::{bucket_keys_for_partition, find_worker_bin, DistTask};
-    use stark_engine::{TransportChaos, TransportPolicy, WorkerPool, WorkerPoolConfig};
+    use stark_engine::{WorkerPool, WorkerPoolConfig};
 
     let mut t = Table::new(
         format!("S14: multi-process execution, {n} points, {workers} workers, grid(4) shuffle"),
@@ -1369,11 +1361,11 @@ pub fn distributed(n: usize, workers: usize) -> Table {
     let run =
         |ops: Vec<PlanOp>,
          sink: PlanSink,
-         chaos: Option<Arc<TransportChaos>>|
+         chaos: Option<Arc<FaultPlan>>|
          -> (Vec<stark_engine::TaskResult>, std::time::Duration, stark_engine::PoolStats) {
             let mut cfg = WorkerPoolConfig::new(&worker_bin);
             cfg.workers = workers;
-            cfg.chaos = chaos;
+            cfg.faults = chaos;
             let mut pool = WorkerPool::spawn(cfg).expect("spawn S14 worker pool");
             let (results, time) = timed(|| {
                 let map_tasks: Vec<DistTask> = chunks
@@ -1479,7 +1471,7 @@ pub fn distributed(n: usize, workers: usize) -> Table {
     let clean = collected_ids(&res);
     assert_eq!(clean, local_ids, "S14: distributed A1 diverged from local");
     push("A1 filter", "distributed", clean.len().to_string(), time, Some(stats), 0, "yes");
-    let chaos = Arc::new(TransportChaos::once(TransportPolicy::KillWorker));
+    let chaos = Arc::new(FaultPlan::once(Fault::KillWorker));
     let (res, time, stats) = run(vec![filter_op], PlanSink::Collect, Some(chaos.clone()));
     let killed = collected_ids(&res);
     assert_eq!(killed, local_ids, "S14: A1 after worker kill diverged");
@@ -1500,7 +1492,7 @@ pub fn distributed(n: usize, workers: usize) -> Table {
     let clean = collected_pairs(&res);
     assert_eq!(clean, local_pairs, "S14: distributed F4 diverged from local");
     push("F4 self-join", "distributed", clean.len().to_string(), time, Some(stats), 0, "yes");
-    let chaos = Arc::new(TransportChaos::once(TransportPolicy::KillWorker));
+    let chaos = Arc::new(FaultPlan::once(Fault::KillWorker));
     let (res, time, stats) = run(Vec::new(), join_sink, Some(chaos.clone()));
     let killed = collected_pairs(&res);
     assert_eq!(killed, local_pairs, "S14: F4 after worker kill diverged");
@@ -1584,9 +1576,7 @@ pub fn remote_shuffle(n: usize, workers: usize) -> Table {
     use stark::distributed::{to_arg, EventRow, SelfJoinArg, StFilterArg};
     use stark_engine::plan::{encode_rows, PlanFragment, PlanInput, PlanOp, PlanSink};
     use stark_engine::supervisor::{find_worker_bin, DistTask};
-    use stark_engine::{
-        FetchChaos, FetchPolicy, ShuffleMode, ShuffleSpec, WorkerPool, WorkerPoolConfig,
-    };
+    use stark_engine::{ShuffleMode, ShuffleSpec, WorkerPool, WorkerPoolConfig};
 
     let mut t = Table::new(
         format!("S15: remote shuffle, {n} points, {workers} workers, grid(4) routing"),
@@ -1642,11 +1632,11 @@ pub fn remote_shuffle(n: usize, workers: usize) -> Table {
          prefix: &str,
          ops: Vec<PlanOp>,
          sink: PlanSink,
-         chaos: Option<FetchChaos>|
+         chaos: Option<Arc<FaultPlan>>|
          -> (Vec<stark_engine::TaskResult>, std::time::Duration, stark_engine::PoolStats) {
             let mut cfg = WorkerPoolConfig::new(&worker_bin);
             cfg.workers = workers;
-            cfg.fetch_chaos = chaos;
+            cfg.faults = chaos;
             cfg.respawn_backoff = std::time::Duration::from_millis(10);
             let mut pool = WorkerPool::spawn(cfg).expect("spawn S15 worker pool");
             let spec = ShuffleSpec {
@@ -1666,10 +1656,14 @@ pub fn remote_shuffle(n: usize, workers: usize) -> Table {
         };
 
     // The kill strikes the first fetch of a task-0 bucket; regenerated
-    // outputs land at epoch 1, above the chaos max_epoch, so recovery
+    // outputs land at epoch 1, past the plan's attempt gate, so recovery
     // traffic is never struck again.
-    let kill_chaos =
-        || FetchChaos::once(FetchPolicy::KillServingWorker).with_key_filter("task-00000/");
+    let kill_chaos = || {
+        Arc::new(
+            FaultPlan::once(Fault::KillServingWorker)
+                .with_target(Target::Key("task-00000/".into())),
+        )
+    };
 
     let mut push = |pipeline: &str,
                     shuffle: &str,

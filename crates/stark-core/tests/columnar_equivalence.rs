@@ -11,19 +11,19 @@ use proptest::prelude::*;
 use stark::{
     GridPartitioner, STObject, STPredicate, SpatialPartitioner, SpatialRddExt, StarkError, Temporal,
 };
-use stark_engine::{Context, EngineConfig, FaultInjector, TaskErrorKind};
+use stark_engine::{Context, EngineConfig, FaultPlan, TaskErrorKind};
 use stark_geo::{Coord, DistanceFn, Geometry};
 use std::sync::Arc;
 
 type Row = (STObject, u32);
 
-fn make_ctx(columnar: bool, injector: Option<Arc<FaultInjector>>) -> Context {
+fn make_ctx(columnar: bool, injector: Option<Arc<FaultPlan>>) -> Context {
     Context::with_config(EngineConfig {
         parallelism: 4,
         default_partitions: 4,
         columnar_enabled: columnar,
         max_task_retries: 3,
-        fault_injector: injector,
+        faults: injector,
         ..EngineConfig::default()
     })
 }
@@ -32,7 +32,7 @@ fn make_ctx(columnar: bool, injector: Option<Arc<FaultInjector>>) -> Context {
 /// and materialises the result.
 fn run_chain(
     columnar: bool,
-    injector: Option<Arc<FaultInjector>>,
+    injector: Option<Arc<FaultPlan>>,
     data: &[Row],
     chain: &[(STPredicate, STObject)],
     partitioned: bool,
@@ -54,7 +54,7 @@ fn assert_paths_agree(data: &[Row], chain: &[(STPredicate, STObject)], partition
     assert_eq!(col, row, "columnar and row paths diverged (partitioned={partitioned})");
     // and under injected transient faults (PR 3 chaos harness): retries
     // must reproduce the same bytes on both paths
-    let chaos = || Some(Arc::new(FaultInjector::transient(0xC0_1A12, 0.15)));
+    let chaos = || Some(Arc::new(FaultPlan::transient(0xC0_1A12, 0.15)));
     let row_chaos = run_chain(false, chaos(), data, chain, partitioned);
     let col_chaos = run_chain(true, chaos(), data, chain, partitioned);
     assert_eq!(row_chaos, row, "row path not fault-transparent");

@@ -1,7 +1,7 @@
 //! The engine entry point, analogous to Spark's `SparkContext`.
 
 use crate::cancel::{self, CancelScope, CancellationToken};
-use crate::fault::FaultInjector;
+use crate::fault::FaultPlan;
 use crate::memory::MemoryManager;
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::rdd::Rdd;
@@ -41,10 +41,10 @@ pub struct EngineConfig {
     /// (exponential backoff). Zero (the default) retries immediately —
     /// in-process recomputation has no cluster to wait out.
     pub retry_backoff: Duration,
-    /// Chaos-testing hook: a seeded [`FaultInjector`] the executor
-    /// consults at the start of every task attempt. `None` (the
-    /// default) injects nothing.
-    pub fault_injector: Option<Arc<FaultInjector>>,
+    /// Chaos-testing hook: a seeded [`FaultPlan`] the executor consults
+    /// at the start of every task attempt (only task-layer faults
+    /// strike there). `None` (the default) injects nothing.
+    pub faults: Option<Arc<FaultPlan>>,
     /// Wall-clock budget applied to every top-level job started on the
     /// context. A job past its deadline fails with a non-retryable
     /// [`TaskErrorKind::DeadlineExceeded`](crate::TaskErrorKind) task
@@ -94,7 +94,7 @@ impl Default for EngineConfig {
             columnar_enabled: true,
             max_task_retries: 3,
             retry_backoff: Duration::ZERO,
-            fault_injector: None,
+            faults: None,
             job_deadline: None,
             speculation: false,
             speculation_quantile: 0.75,
@@ -215,9 +215,9 @@ impl Context {
         self.inner.config.max_task_retries
     }
 
-    /// The installed chaos injector, if any.
-    pub fn fault_injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.inner.config.fault_injector.as_ref()
+    /// The installed fault plan, if any.
+    pub fn faults(&self) -> Option<&Arc<FaultPlan>> {
+        self.inner.config.faults.as_ref()
     }
 
     /// The root [`CancellationToken`] every job on this context chains

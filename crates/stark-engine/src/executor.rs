@@ -32,7 +32,8 @@
 
 use crate::cancel::{self, CancelReason, CancellationToken};
 use crate::context::Context;
-use crate::fault::InjectedFault;
+use crate::fault::{jittered_backoff, Fault, FaultPlan, Site};
+use crate::memory::MemoryManager;
 use crate::partition::Partition;
 use crate::rdd::{Data, RddImpl};
 use std::panic::AssertUnwindSafe;
@@ -48,7 +49,7 @@ pub enum TaskErrorKind {
     /// after the attempt budget.
     Panic,
     /// A fault raised by the configured
-    /// [`FaultInjector`](crate::FaultInjector). Retryable.
+    /// [`FaultPlan`](crate::FaultPlan). Retryable.
     Injected,
     /// The task asked for a partition index the dataset does not have —
     /// a deterministic structural error; retrying cannot help, so it
@@ -134,6 +135,31 @@ impl std::fmt::Display for TaskError {
 
 impl std::error::Error for TaskError {}
 
+/// Applies the plan's task-layer strike, if any, to one attempt: panics
+/// with a typed [`TaskErrorKind::Injected`] abort (so chaos is told apart
+/// from genuine task panics), stalls cooperatively, or restricts the
+/// context's memory budget.
+pub(crate) fn inject_task_fault(
+    plan: &FaultPlan,
+    stage: u64,
+    partition: usize,
+    attempt: u32,
+    memory: &MemoryManager,
+) {
+    match plan.strike(Site::Task { stage, partition, attempt }) {
+        Some(f @ (Fault::Transient | Fault::Panic)) => std::panic::panic_any(TaskAbort {
+            kind: TaskErrorKind::Injected,
+            message: format!(
+                "injected {} fault (stage {stage}, partition {partition}, attempt {attempt})",
+                if f == Fault::Transient { "transient" } else { "permanent" },
+            ),
+        }),
+        Some(Fault::Delay(d)) => cancel::sleep_cooperative(d),
+        Some(Fault::MemoryPressure(budget)) => memory.restrict(budget),
+        _ => {}
+    }
+}
+
 /// Typed panic payload for engine-internal task aborts (e.g. the union
 /// out-of-range guard): carries a [`TaskErrorKind`] so the executor can
 /// classify the failure without string matching.
@@ -149,9 +175,7 @@ fn classify(
     stage: u64,
     attempts: u32,
 ) -> TaskError {
-    let (kind, message) = if let Some(f) = payload.downcast_ref::<InjectedFault>() {
-        (TaskErrorKind::Injected, f.to_string())
-    } else if let Some(a) = payload.downcast_ref::<TaskAbort>() {
+    let (kind, message) = if let Some(a) = payload.downcast_ref::<TaskAbort>() {
         (a.kind, a.message.clone())
     } else if let Some(e) = payload.downcast_ref::<TaskError>() {
         // a nested job (shuffle materialisation) cancelled or timed out:
@@ -212,7 +236,7 @@ fn cancel_error(reason: CancelReason, partition: usize, stage: u64, attempts: u3
 /// partition-boundary observation point) and installed as the thread's
 /// governing token for the attempt's duration, so fused record chunks,
 /// cooperative sleeps and nested shuffle jobs all observe it. The
-/// configured [`FaultInjector`](crate::FaultInjector) is consulted
+/// configured [`FaultPlan`](crate::FaultPlan) is consulted
 /// *inside* the guard, so injected faults take the same path as genuine
 /// task panics.
 fn run_attempt<T: Data, R>(
@@ -232,8 +256,8 @@ fn run_attempt<T: Data, R>(
     let _governing = cancel::scope(Arc::clone(token));
     let started = Instant::now();
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        if let Some(injector) = ctx.fault_injector() {
-            injector.on_attempt(stage, i, attempt, ctx.memory());
+        if let Some(plan) = ctx.faults() {
+            inject_task_fault(plan, stage, i, attempt, ctx.memory());
         }
         inner.compute(i)
     }))
@@ -253,7 +277,7 @@ fn run_attempt<T: Data, R>(
 /// Runs one partition task to completion: attempts, and on retryable
 /// failure evicts the partition from lineage caches and recomputes, up
 /// to the context's retry budget. `attempt_offset` shifts the attempt
-/// numbers the fault injector sees: a speculative duplicate runs with
+/// numbers the fault plan sees: a speculative duplicate runs with
 /// numbers past any original attempt, modelling relaunch on a healthy
 /// node (a `(stage, partition)`-targeted stall or transient fault does
 /// not strike the duplicate again).
@@ -291,19 +315,13 @@ fn run_task<T: Data, R>(
                 metrics.partitions_recomputed.add(1);
                 inner.evict(i);
                 if !backoff.is_zero() {
-                    // Jittered exponential backoff: scale by a seeded
-                    // draw in [0.5, 1.5) keyed on (stage, partition,
-                    // attempt) so tasks that failed together (e.g. one
-                    // poisoned input feeding many partitions) don't
-                    // hammer back in lockstep.
-                    let scaled = backoff * (1u32 << attempt.min(6));
-                    let draw = crate::fault::splitmix64(
-                        stage
-                            ^ (i as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-                            ^ u64::from(attempt_offset + attempt),
-                    );
-                    let factor = 0.5 + (draw >> 11) as f64 / (1u64 << 53) as f64;
-                    std::thread::sleep(scaled.mul_f64(factor));
+                    // keyed on (stage, partition, attempt) so tasks that
+                    // failed together (e.g. one poisoned input feeding
+                    // many partitions) don't hammer back in lockstep
+                    let key = stage
+                        ^ (i as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
+                        ^ u64::from(attempt_offset + attempt);
+                    std::thread::sleep(jittered_backoff(backoff, attempt, key));
                 }
                 attempt += 1;
             }
@@ -526,25 +544,21 @@ pub(crate) fn run_partitions<T: Data, R: Send>(
 mod tests {
     use crate::context::{Context, EngineConfig};
     use crate::executor::TaskErrorKind;
-    use crate::fault::{FaultInjector, FaultPolicy, FaultScope};
+    use crate::fault::{Fault, FaultPlan, Target};
     use std::collections::HashSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    fn chaos_ctx(
-        parallelism: usize,
-        retries: u32,
-        injector: FaultInjector,
-    ) -> (Context, Arc<FaultInjector>) {
-        let injector = Arc::new(injector);
+    fn chaos_ctx(parallelism: usize, retries: u32, plan: FaultPlan) -> (Context, Arc<FaultPlan>) {
+        let plan = Arc::new(plan);
         let ctx = Context::with_config(EngineConfig {
             parallelism,
             default_partitions: parallelism,
             max_task_retries: retries,
-            fault_injector: Some(injector.clone()),
+            faults: Some(plan.clone()),
             ..EngineConfig::default()
         });
-        (ctx, injector)
+        (ctx, plan)
     }
 
     #[test]
@@ -641,7 +655,7 @@ mod tests {
 
     #[test]
     fn transient_injected_fault_is_absorbed_by_retry() {
-        let inj = FaultInjector::new(7, FaultScope::Partition(2), FaultPolicy::Transient);
+        let inj = FaultPlan::new(7, 1.0, Fault::Transient).with_target(Target::Partition(2));
         let (ctx, chaos) = chaos_ctx(4, 3, inj);
         let r = ctx.parallelize((0..40).collect::<Vec<i32>>(), 8);
         assert_eq!(r.collect(), (0..40).collect::<Vec<_>>());
@@ -654,7 +668,7 @@ mod tests {
 
     #[test]
     fn permanent_fault_exhausts_retry_budget() {
-        let inj = FaultInjector::new(7, FaultScope::Partition(1), FaultPolicy::Panic);
+        let inj = FaultPlan::new(7, 1.0, Fault::Panic).with_target(Target::Partition(1));
         let (ctx, chaos) = chaos_ctx(2, 2, inj);
         let err = ctx.parallelize((0..8).collect::<Vec<i32>>(), 4).try_collect().unwrap_err();
         assert_eq!(err.partition, 1);
@@ -686,11 +700,7 @@ mod tests {
 
     #[test]
     fn delay_policy_stalls_but_preserves_results() {
-        let inj = FaultInjector::new(
-            11,
-            FaultScope::Probability(1.0),
-            FaultPolicy::Delay(std::time::Duration::from_micros(200)),
-        );
+        let inj = FaultPlan::new(11, 1.0, Fault::Delay(std::time::Duration::from_micros(200)));
         let (ctx, chaos) = chaos_ctx(4, 3, inj);
         let r = ctx.parallelize((0..32).collect::<Vec<i32>>(), 8);
         assert_eq!(r.collect(), (0..32).collect::<Vec<_>>());
@@ -719,7 +729,7 @@ mod tests {
     fn stage_ordinals_give_reruns_fresh_fault_draws() {
         // a Stage-scoped fault strikes only its stage ordinal; the same
         // dataset re-run (a new sweep, hence a new stage) is untouched
-        let inj = FaultInjector::new(5, FaultScope::Stage(0), FaultPolicy::Panic);
+        let inj = FaultPlan::new(5, 1.0, Fault::Panic).with_target(Target::Stage(0));
         let (ctx, _chaos) = chaos_ctx(2, 0, inj);
         let r = ctx.parallelize((0..8).collect::<Vec<i32>>(), 4);
         assert!(r.try_collect().is_err(), "stage 0 is poisoned");
@@ -802,13 +812,13 @@ mod tests {
     #[test]
     fn speculation_beats_delay_straggler_with_identical_results() {
         let stall = std::time::Duration::from_millis(400);
-        let inj = FaultInjector::new(11, FaultScope::Partition(0), FaultPolicy::Delay(stall));
-        let injector = Arc::new(inj);
+        let inj = FaultPlan::new(11, 1.0, Fault::Delay(stall)).with_target(Target::Partition(0));
+        let plan = Arc::new(inj);
         let ctx = Context::with_config(EngineConfig {
             parallelism: 4,
             default_partitions: 8,
             max_task_retries: 3,
-            fault_injector: Some(injector.clone()),
+            faults: Some(plan.clone()),
             speculation: true,
             speculation_quantile: 0.5,
             speculation_multiplier: 1.5,
@@ -833,13 +843,13 @@ mod tests {
         assert!(m.speculative_wins >= 1, "the duplicate must win");
         assert!(m.tasks_cancelled >= 1, "the stalled original must be retired");
         assert_eq!(m.tasks_retried, 0, "delays are not failures, even speculated ones");
-        assert_eq!(injector.injected(), 1, "only the original first attempt is stalled");
+        assert_eq!(plan.injected(), 1, "only the original first attempt is stalled");
     }
 
     #[test]
     fn speculation_off_sleeps_out_the_straggler() {
         let stall = std::time::Duration::from_millis(80);
-        let inj = FaultInjector::new(11, FaultScope::Partition(0), FaultPolicy::Delay(stall));
+        let inj = FaultPlan::new(11, 1.0, Fault::Delay(stall)).with_target(Target::Partition(0));
         let (ctx, _chaos) = chaos_ctx(4, 3, inj);
         let started = std::time::Instant::now();
         let out = ctx.parallelize((0..64).collect::<Vec<i32>>(), 8).collect();

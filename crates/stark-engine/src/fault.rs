@@ -1,105 +1,194 @@
 //! Deterministic fault injection for chaos testing.
 //!
-//! Spark's resilience story — lost tasks are retried and their
-//! partitions recomputed from lineage — is untestable by inspection, so
-//! the engine carries its own chaos harness: a seeded [`FaultInjector`]
-//! installed via [`EngineConfig::fault_injector`](crate::EngineConfig)
-//! that the executor consults at the start of every task attempt.
-//! Whether a given `(stage, partition)` is struck is a pure function of
-//! the seed, so a failing chaos run reproduces exactly from its seed
-//! (CI exports it; locally `STARK_CHAOS_SEED=<n>` re-runs the same
-//! schedule).
+//! Spark's resilience story — lost tasks are retried, lost workers'
+//! tasks reassigned, lost map outputs regenerated from lineage — is
+//! untestable by inspection, so the engine carries one seeded chaos
+//! harness: a [`FaultPlan`]. A plan holds one [`Fault`], and the fault's
+//! variant fixes the layer that consults it:
 //!
-//! Three policies model the failure modes a cluster actually shows:
+//! * **task attempts** — the executor, at the start of every attempt
+//!   ([`EngineConfig::faults`](crate::EngineConfig));
+//! * **task dispatches** — `WorkerPool::dispatch`, before a task frame
+//!   goes to a worker process
+//!   ([`WorkerPoolConfig::faults`](crate::WorkerPoolConfig));
+//! * **bucket fetches** — each worker's shuffle server, on every remote
+//!   bucket request. Workers are separate processes, so the pool hands
+//!   them the plan as `--faults <spec>` and each worker counts its own
+//!   strikes.
 //!
-//! * [`FaultPolicy::Transient`] — the attempt panics, but a retry of the
-//!   same task succeeds (a lost executor, a flaky fetch). Task retry
-//!   must fully absorb these: results are identical to a fault-free run.
-//! * [`FaultPolicy::Panic`] — every attempt panics (a poison record, a
-//!   deterministic bug). The retry budget exhausts and the job surfaces
-//!   a permanent [`TaskError`](crate::TaskError) naming the partition.
-//! * [`FaultPolicy::Delay`] — the attempt is stalled before computing (a
-//!   straggler); the task still succeeds and results must not change.
-//! * [`FaultPolicy::MemoryPressure`] — the struck attempt shrinks the
-//!   context's effective memory budget (an OOM-killer neighbour, a
-//!   ballooning co-tenant); nothing panics, but downstream reservations
-//!   start spilling and evicting. Results must not change.
+//! Every strike is decided by one rule, `FaultPlan::strike`: layer
+//! match, target match, the attempt gate, the seeded draw, the strike
+//! cap, and the count. Whether a site is struck is a pure function of the
+//! seed and the site, so a failing chaos run reproduces exactly from its
+//! seed (CI exports it; locally `STARK_CHAOS_SEED=<n>` re-runs the same
+//! schedule). The attempt gate is what makes recovery converge: retries,
+//! reassignments and regenerated shuffle epochs run past it and are never
+//! struck again, which lets tests pin `tasks_retried == injected`,
+//! `tasks_reassigned == injected` and `fetch_retries == strikes`.
 
-use crate::memory::MemoryManager;
+use crate::storage::crc32;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// What an injected fault does to the task attempt it strikes.
+/// What an injected fault does. The variant fixes the layer it strikes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultPolicy {
-    /// Panic on attempts below the injector's `fail_attempts` threshold;
-    /// later attempts of the same task succeed. Recoverable by retry.
+pub enum Fault {
+    // -- task attempts (executor) --
+    /// The attempt panics; a retry past the plan's `fail_attempts` gate
+    /// succeeds (a lost executor, a flaky read). Task retry must fully
+    /// absorb these: results are identical to a fault-free run.
     Transient,
-    /// Panic on every attempt; the task can never succeed.
+    /// Every attempt panics (a poison record, a deterministic bug): the
+    /// gate defaults to unlimited, the retry budget exhausts and the job
+    /// surfaces a permanent [`TaskError`](crate::TaskError).
     Panic,
-    /// Sleep for the given duration before computing (cooperatively —
-    /// the stall aborts early if the attempt is cancelled), then
-    /// proceed. Like [`FaultPolicy::Transient`], only attempts below the
-    /// injector's `fail_attempts` threshold are stalled, so a
-    /// speculative duplicate running with fresh attempt numbers escapes
-    /// the straggler.
+    /// Stall the attempt this long before computing (a straggler). The
+    /// sleep is cooperative, so a stalled attempt that loses a
+    /// speculation race or hits a deadline releases its worker promptly;
+    /// a speculative duplicate runs past the gate and is not stalled.
     Delay(Duration),
     /// Shrink the context's effective memory budget to at most this many
-    /// bytes (sticky until [`MemoryManager::lift_restriction`], and never
-    /// above the configured budget). The struck attempt itself proceeds
-    /// normally — the fault's blast radius is every *later* reservation,
-    /// which now spills or evicts. Like [`FaultPolicy::Delay`], only
-    /// attempts below the injector's `fail_attempts` threshold strike.
+    /// bytes (sticky until [`MemoryManager::lift_restriction`](crate::MemoryManager)).
+    /// The struck attempt proceeds normally; every *later* reservation
+    /// spills or evicts. Results must not change.
     MemoryPressure(u64),
+    // -- task dispatches (worker pool) --
+    /// SIGKILL the worker process at dispatch — a fail-stop crash,
+    /// detected by connection EOF.
+    KillWorker,
+    /// Drop the task frame: the worker idles, heartbeating healthily, and
+    /// only the per-task deadline catches it.
+    DropFrame,
+    /// Send a torn frame whose length prefix promises more bytes than
+    /// follow: the worker blocks mid-read, wedged but alive, until the
+    /// task deadline fires.
+    TruncateFrame,
+    /// Flip a payload byte after the checksum is computed: the worker's
+    /// frame decoder rejects it and the worker fail-stops.
+    CorruptFrame,
+    /// Stall the dispatch this long (slow network); the task completes.
+    DelayFrame(Duration),
+    // -- bucket fetches (shuffle server) --
+    /// Answer with an explicit refusal; the client retries with backoff.
+    RefuseFetch,
+    /// Send the header and half the remaining payload, then hang up — a
+    /// torn transfer the client resumes from its received offset.
+    DropBucket,
+    /// Send the full payload with one byte flipped after the CRC was
+    /// announced; the client rejects it and refetches from offset 0.
+    CorruptBucket,
+    /// Stall this long before serving (a slow peer); no retry is spent.
+    DelayFetch(Duration),
+    /// The serving worker exits: its map outputs are lost and the driver
+    /// regenerates them via lineage on survivors.
+    KillServingWorker,
 }
 
-/// Which task attempts a fault targets.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultScope {
-    /// Seeded Bernoulli draw per `(stage, partition)` with this
-    /// probability — the "p% of tasks fail" chaos configuration.
-    Probability(f64),
-    /// Every task computing this partition index, in every stage.
-    Partition(usize),
-    /// Every task of this stage ordinal (stages number job sweeps on a
-    /// context, starting at 0).
-    Stage(u64),
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Layer {
+    Task,
+    Dispatch,
+    Fetch,
 }
 
-/// Typed panic payload raised by an injected fault, so the executor can
-/// distinguish chaos from genuine task panics.
-#[derive(Debug, Clone)]
-pub(crate) struct InjectedFault {
-    pub stage: u64,
-    pub partition: usize,
-    pub attempt: u32,
-    pub transient: bool,
-}
+impl Fault {
+    fn layer(self) -> Layer {
+        use Fault::*;
+        match self {
+            Transient | Panic | Delay(_) | MemoryPressure(_) => Layer::Task,
+            KillWorker | DropFrame | TruncateFrame | CorruptFrame | DelayFrame(_) => {
+                Layer::Dispatch
+            }
+            RefuseFetch | DropBucket | CorruptBucket | DelayFetch(_) | KillServingWorker => {
+                Layer::Fetch
+            }
+        }
+    }
 
-impl std::fmt::Display for InjectedFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "injected {} fault (stage {}, partition {}, attempt {})",
-            if self.transient { "transient" } else { "permanent" },
-            self.stage,
-            self.partition,
-            self.attempt
-        )
+    /// Spec name and argument (delays in µs, memory in bytes; 0 when the
+    /// variant carries none).
+    fn parts(self) -> (&'static str, u64) {
+        let us = |d: Duration| d.as_micros() as u64;
+        match self {
+            Fault::Transient => ("transient", 0),
+            Fault::Panic => ("panic", 0),
+            Fault::Delay(d) => ("delay", us(d)),
+            Fault::MemoryPressure(bytes) => ("memory-pressure", bytes),
+            Fault::KillWorker => ("kill-worker", 0),
+            Fault::DropFrame => ("drop-frame", 0),
+            Fault::TruncateFrame => ("truncate-frame", 0),
+            Fault::CorruptFrame => ("corrupt-frame", 0),
+            Fault::DelayFrame(d) => ("delay-frame", us(d)),
+            Fault::RefuseFetch => ("refuse-fetch", 0),
+            Fault::DropBucket => ("drop-bucket", 0),
+            Fault::CorruptBucket => ("corrupt-bucket", 0),
+            Fault::DelayFetch(d) => ("delay-fetch", us(d)),
+            Fault::KillServingWorker => ("kill-serving-worker", 0),
+        }
+    }
+
+    fn from_parts(name: &str, arg: u64) -> Option<Fault> {
+        use Fault::*;
+        let d = Duration::from_micros(arg);
+        [
+            Transient,
+            Panic,
+            Delay(d),
+            MemoryPressure(arg),
+            KillWorker,
+            DropFrame,
+            TruncateFrame,
+            CorruptFrame,
+            DelayFrame(d),
+            RefuseFetch,
+            DropBucket,
+            CorruptBucket,
+            DelayFetch(d),
+            KillServingWorker,
+        ]
+        .into_iter()
+        .find(|f| f.parts().0 == name)
     }
 }
 
-/// Seeded, deterministic fault injector consulted on every task attempt.
+/// Narrows a plan to one partition, stage or bucket key. A target only
+/// matches sites of the layer it names: `Partition` and `Stage` task
+/// attempts, `Key` bucket fetches.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Target {
+    /// Every task attempt computing this partition index, in every stage.
+    Partition(usize),
+    /// Every task attempt of this stage ordinal (stages number job
+    /// sweeps on a context, starting at 0).
+    Stage(u64),
+    /// Every fetch of a bucket key containing this substring (e.g.
+    /// `"task-00000/"`: one map task's outputs, so exactly one worker).
+    Key(String),
+}
+
+/// One place a plan is consulted.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Site<'a> {
+    /// An attempt of `partition`'s task in stage `stage`.
+    Task { stage: u64, partition: usize, attempt: u32 },
+    /// A dispatch of task `task` of pool job `job`.
+    Dispatch { job: u64, task: u64, attempt: u32 },
+    /// A bucket request; its shuffle epoch counts as the attempt, so
+    /// outputs regenerated at a bumped epoch serve cleanly.
+    Fetch { key: &'a str, epoch: u64 },
+}
+
+/// A seeded, deterministic fault plan.
 ///
 /// ```
-/// use stark_engine::{Context, EngineConfig, FaultInjector};
+/// use stark_engine::{Context, EngineConfig, FaultPlan};
 /// use std::sync::Arc;
 ///
-/// let chaos = Arc::new(FaultInjector::transient(0xC4A05, 0.10));
+/// let chaos = Arc::new(FaultPlan::transient(0xC4A05, 0.10));
 /// let ctx = Context::with_config(EngineConfig {
 ///     parallelism: 4,
 ///     max_task_retries: 3,
-///     fault_injector: Some(chaos.clone()),
+///     faults: Some(chaos.clone()),
 ///     ..EngineConfig::default()
 /// });
 /// // ~10% of tasks panic once and are retried; the result is identical
@@ -109,221 +198,66 @@ impl std::fmt::Display for InjectedFault {
 /// assert_eq!(ctx.metrics().tasks_retried, chaos.injected());
 /// ```
 #[derive(Debug)]
-pub struct FaultInjector {
+pub struct FaultPlan {
     seed: u64,
-    scope: FaultScope,
-    policy: FaultPolicy,
-    /// Attempts that fail before a [`FaultPolicy::Transient`] task
-    /// succeeds (default 1: the first attempt fails, the retry passes).
-    fail_attempts: u32,
-    /// Faults actually raised (panics and delays).
-    injected: AtomicU64,
-}
-
-impl FaultInjector {
-    /// Injector with an explicit scope and policy.
-    pub fn new(seed: u64, scope: FaultScope, policy: FaultPolicy) -> Self {
-        if let FaultScope::Probability(p) = scope {
-            assert!((0.0..=1.0).contains(&p), "fault probability must be in [0, 1]");
-        }
-        FaultInjector { seed, scope, policy, fail_attempts: 1, injected: AtomicU64::new(0) }
-    }
-
-    /// Transient faults striking each `(stage, partition)` independently
-    /// with probability `rate` — the standard chaos configuration.
-    pub fn transient(seed: u64, rate: f64) -> Self {
-        Self::new(seed, FaultScope::Probability(rate), FaultPolicy::Transient)
-    }
-
-    /// Memory-pressure faults striking each `(stage, partition)`
-    /// independently with probability `rate`: a struck attempt shrinks
-    /// the context's effective budget to `budget` bytes mid-job.
-    pub fn memory_pressure(seed: u64, rate: f64, budget: u64) -> Self {
-        Self::new(seed, FaultScope::Probability(rate), FaultPolicy::MemoryPressure(budget))
-    }
-
-    /// Number of attempts that fail before a transiently faulted task
-    /// succeeds. A value of `n` requires a retry budget of at least `n`
-    /// for the job to recover.
-    pub fn with_fail_attempts(mut self, n: u32) -> Self {
-        assert!(n >= 1, "fail_attempts must be at least 1");
-        self.fail_attempts = n;
-        self
-    }
-
-    /// The seed this injector's schedule derives from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Faults raised so far (panics and delays, over all attempts).
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
-    }
-
-    /// Whether the deterministic schedule targets this task at all
-    /// (independent of attempt number).
-    fn targets(&self, stage: u64, partition: usize) -> bool {
-        match self.scope {
-            FaultScope::Partition(p) => partition == p,
-            FaultScope::Stage(s) => stage == s,
-            FaultScope::Probability(p) => {
-                let h = splitmix64(
-                    self.seed
-                        ^ stage.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        ^ (partition as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F),
-                );
-                // uniform draw in [0, 1)
-                let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-                u < p
-            }
-        }
-    }
-
-    /// Consulted by the executor at the start of every task attempt,
-    /// inside the task's panic guard. May sleep ([`FaultPolicy::Delay`]),
-    /// panic with a typed [`InjectedFault`] payload, or restrict the
-    /// context's memory budget ([`FaultPolicy::MemoryPressure`]).
-    pub(crate) fn on_attempt(
-        &self,
-        stage: u64,
-        partition: usize,
-        attempt: u32,
-        memory: &MemoryManager,
-    ) {
-        if !self.targets(stage, partition) {
-            return;
-        }
-        match self.policy {
-            FaultPolicy::MemoryPressure(budget) => {
-                // Gated like Delay: the schedule's early attempts apply
-                // the squeeze, retries and speculative duplicates run
-                // under whatever budget is already in force.
-                if attempt < self.fail_attempts {
-                    self.injected.fetch_add(1, Ordering::Relaxed);
-                    memory.restrict(budget);
-                }
-            }
-            FaultPolicy::Delay(d) => {
-                // Like Transient, only early attempts are stalled: a
-                // speculative duplicate (running with attempt numbers
-                // past the retry budget) models a relaunch on a healthy
-                // node and is not stalled again. The sleep is
-                // cooperative, so a stalled attempt that loses the
-                // speculation race (or hits a deadline) releases its
-                // worker promptly instead of sleeping out the stall.
-                if attempt < self.fail_attempts {
-                    self.injected.fetch_add(1, Ordering::Relaxed);
-                    crate::cancel::sleep_cooperative(d);
-                }
-            }
-            FaultPolicy::Panic => {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                std::panic::panic_any(InjectedFault {
-                    stage,
-                    partition,
-                    attempt,
-                    transient: false,
-                });
-            }
-            FaultPolicy::Transient => {
-                if attempt < self.fail_attempts {
-                    self.injected.fetch_add(1, Ordering::Relaxed);
-                    std::panic::panic_any(InjectedFault {
-                        stage,
-                        partition,
-                        attempt,
-                        transient: true,
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// splitmix64 finaliser — decorrelates the fault draw from raw indices.
-/// Crate-visible: the executor's retry-backoff jitter and the worker
-/// pool's respawn jitter reuse it for deterministic draws.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-// ---------------------------------------------------------------------------
-// Transport chaos
-// ---------------------------------------------------------------------------
-
-/// What an injected transport fault does to a task dispatch. These
-/// extend the task-level [`FaultPolicy`] set to the process boundary:
-/// instead of a task attempt panicking in-process, the *transport or the
-/// worker itself* fails, and recovery must come from the supervisor's
-/// worker-loss path (reassignment + respawn), not from the in-task retry
-/// loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransportPolicy {
-    /// SIGKILL the worker process right after the task frame is sent —
-    /// a fail-stop crash mid-task. Detected by connection EOF.
-    KillWorker,
-    /// Drop the task frame on the floor: the worker never sees it and
-    /// idles, heartbeating healthily. Only the driver's per-task
-    /// deadline catches this.
-    DropFrame,
-    /// Send a torn frame (correct length prefix, half the payload) and
-    /// hang up nothing: the worker blocks mid-read, wedged but alive.
-    /// Like `DropFrame`, caught by the task deadline.
-    TruncateFrame,
-    /// Flip a payload byte after the checksum is computed: the worker's
-    /// frame decoder rejects it and the worker fail-stops (exit 1),
-    /// surfacing as a connection loss.
-    CorruptFrame,
-    /// Stall the dispatch this long before sending (slow network). The
-    /// task still completes; results must not change.
-    DelayFrame(Duration),
-}
-
-/// Seeded, deterministic transport-fault injector consulted by the
-/// worker pool on every task dispatch. The draw is a pure function of
-/// `(seed, job, task, attempt)`, so a chaos run reproduces exactly from
-/// its seed, and reassigned attempts (attempt ≥ `fail_attempts`) are
-/// never struck again — the invariant that lets tests pin
-/// `reassigned == injected`.
-#[derive(Debug)]
-pub struct TransportChaos {
-    seed: u64,
+    fault: Fault,
+    /// Probability that an eligible site is struck.
     rate: f64,
-    policy: TransportPolicy,
-    /// Attempts below this threshold are eligible (default 1: only the
-    /// first dispatch of a task can be struck).
+    target: Option<Target>,
+    /// Attempts below this are eligible (default 1: only first attempts;
+    /// unlimited for [`Fault::Panic`]).
     fail_attempts: u32,
-    /// When set, strike at most this many dispatches in total.
+    /// When set, strike at most this many sites in total.
     max_strikes: Option<u64>,
     injected: AtomicU64,
 }
 
-impl TransportChaos {
-    /// Injector striking each `(job, task)` first dispatch independently
-    /// with probability `rate`.
-    pub fn new(seed: u64, rate: f64, policy: TransportPolicy) -> Self {
-        assert!((0.0..=1.0).contains(&rate), "transport fault rate must be in [0, 1]");
-        TransportChaos {
+impl FaultPlan {
+    /// Plan striking every eligible site of `fault`'s layer independently
+    /// with probability `rate` — the "p% of tasks fail" configuration.
+    pub fn new(seed: u64, rate: f64, fault: Fault) -> Self {
+        assert!((0.0..=1.0).contains(&rate), "fault rate must be in [0, 1]");
+        let fail_attempts = if fault == Fault::Panic { u32::MAX } else { 1 };
+        FaultPlan {
             seed,
+            fault,
             rate,
-            policy,
-            fail_attempts: 1,
+            target: None,
+            fail_attempts,
             max_strikes: None,
             injected: AtomicU64::new(0),
         }
     }
 
-    /// Injector that strikes exactly the first dispatch it sees and
+    /// Transient task faults at `rate` — the standard chaos configuration.
+    pub fn transient(seed: u64, rate: f64) -> Self {
+        Self::new(seed, rate, Fault::Transient)
+    }
+
+    /// Memory-pressure task faults at `rate`: a struck attempt shrinks the
+    /// context's effective budget to `budget` bytes mid-job.
+    pub fn memory_pressure(seed: u64, rate: f64, budget: u64) -> Self {
+        Self::new(seed, rate, Fault::MemoryPressure(budget))
+    }
+
+    /// Plan that strikes exactly the first eligible site it sees and
     /// nothing else — "kill one worker mid-job", deterministically.
-    pub fn once(policy: TransportPolicy) -> Self {
-        let mut c = Self::new(0, 1.0, policy);
-        c.max_strikes = Some(1);
-        c
+    pub fn once(fault: Fault) -> Self {
+        Self::new(0, 1.0, fault).with_max_strikes(1)
+    }
+
+    /// Strikes only sites matching `target`.
+    pub fn with_target(mut self, target: Target) -> Self {
+        self.target = Some(target);
+        self
+    }
+
+    /// Number of attempts of a site that are eligible. A transient fault
+    /// with `n` needs a retry budget of at least `n` to recover.
+    pub fn with_fail_attempts(mut self, n: u32) -> Self {
+        assert!(n >= 1, "fail_attempts must be at least 1");
+        self.fail_attempts = n;
+        self
     }
 
     /// Caps the total number of strikes.
@@ -332,273 +266,185 @@ impl TransportChaos {
         self
     }
 
-    /// Number of attempts of a task that are eligible to be struck.
-    pub fn with_fail_attempts(mut self, n: u32) -> Self {
-        assert!(n >= 1, "fail_attempts must be at least 1");
-        self.fail_attempts = n;
-        self
-    }
-
-    /// Transport faults injected so far.
+    /// Strikes so far (in this process: a fetch plan counts in workers).
     pub fn injected(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)
     }
 
-    /// Consulted by the pool before sending a task: returns the policy
-    /// to apply to this dispatch, or `None` to send normally. Counts
-    /// every strike.
-    pub fn draw(&self, job: u64, task: u64, attempt: u32) -> Option<TransportPolicy> {
-        if attempt >= self.fail_attempts {
+    /// Whether this plan strikes bucket fetches — the layer that runs in
+    /// worker processes, so the pool forwards it to each worker.
+    pub(crate) fn strikes_fetches(&self) -> bool {
+        self.fault.layer() == Layer::Fetch
+    }
+
+    /// The one strike rule: returns the fault to apply at `site`, or
+    /// `None` to proceed normally. Counts every strike; the cap is
+    /// claimed atomically, so concurrent callers cannot overshoot it.
+    pub(crate) fn strike(&self, site: Site<'_>) -> Option<Fault> {
+        let (layer, a, b, attempt) = match site {
+            Site::Task { stage, partition, attempt } => {
+                (Layer::Task, stage, partition as u64, u64::from(attempt))
+            }
+            Site::Dispatch { job, task, attempt } => {
+                (Layer::Dispatch, job, task, u64::from(attempt))
+            }
+            Site::Fetch { key, epoch } => {
+                (Layer::Fetch, epoch, u64::from(crc32(key.as_bytes())), epoch)
+            }
+        };
+        let targeted = match (&self.target, site) {
+            (None, _) => true,
+            (Some(Target::Partition(p)), Site::Task { partition, .. }) => partition == *p,
+            (Some(Target::Stage(s)), Site::Task { stage, .. }) => stage == *s,
+            (Some(Target::Key(k)), Site::Fetch { key, .. }) => key.contains(k.as_str()),
+            _ => false,
+        };
+        if layer != self.fault.layer() || !targeted || attempt >= u64::from(self.fail_attempts) {
             return None;
         }
         let h = splitmix64(
             self.seed
-                ^ job.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ task.wrapping_mul(0xC2B2_AE3D_27D4_EB4F),
+                ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                ^ b.wrapping_mul(0xC2B2_AE3D_27D4_EB4F),
         );
-        let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-        if u >= self.rate {
+        if unit(h) >= self.rate {
             return None;
         }
-        if let Some(cap) = self.max_strikes {
-            // claim a strike slot atomically so concurrent dispatches
-            // cannot overshoot the cap
-            let mut cur = self.injected.load(Ordering::Relaxed);
-            loop {
-                if cur >= cap {
-                    return None;
-                }
-                match self.injected.compare_exchange(
-                    cur,
-                    cur + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => return Some(self.policy),
-                    Err(now) => cur = now,
-                }
-            }
-        }
-        self.injected.fetch_add(1, Ordering::Relaxed);
-        Some(self.policy)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fetch chaos (remote shuffle)
-// ---------------------------------------------------------------------------
-
-/// What an injected fetch fault does to a shuffle bucket request. These
-/// extend [`TransportPolicy`] to the *data plane*: instead of a task
-/// dispatch failing driver→worker, a reducer's peer-to-peer bucket fetch
-/// fails worker→worker, and recovery must come from the supervisor's
-/// lost-map-output path (invalidate + regenerate via lineage), not just
-/// from the fetch retry loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FetchPolicy {
-    /// The serving worker answers the request with an explicit refusal
-    /// (models connection refused / a server shedding load). The client
-    /// retries with backoff.
-    RefuseFetch,
-    /// The server sends a valid response header, half of the remaining
-    /// payload bytes, then hangs up — a torn transfer. The client's
-    /// partial-fetch resume continues from the received offset.
-    DropBucket,
-    /// The server sends the full payload with one byte flipped after the
-    /// checksum was computed; the client's whole-payload CRC check
-    /// rejects it and the fetch restarts from offset 0.
-    CorruptBucket,
-    /// The server stalls this long before serving (a slow peer). The
-    /// fetch still succeeds; results must not change and no retry is
-    /// consumed.
-    DelayFetch(Duration),
-    /// The serving worker process exits immediately — the victim's map
-    /// outputs are lost and the supervisor must regenerate them via
-    /// lineage on survivors.
-    KillServingWorker,
-}
-
-/// Declarative fetch-fault spec, passed from the driver to workers via
-/// the `STARK_FETCH_CHAOS` environment variable (workers are separate
-/// processes, so the injector state cannot be shared — each worker
-/// tracks its own strike budget with a [`FetchChaosState`]).
-///
-/// The `max_epoch` guard is what makes kill-chaos runs converge:
-/// regenerated map outputs register at a bumped shuffle epoch, and a
-/// request for an epoch above `max_epoch` is never struck — so recovery
-/// traffic cannot re-trigger the fault that caused it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FetchChaos {
-    pub policy: FetchPolicy,
-    /// Strike at most this many matching requests (per worker process).
-    pub max_strikes: u64,
-    /// Only requests for shuffle epochs `<= max_epoch` are eligible.
-    pub max_epoch: u64,
-    /// Only bucket keys containing this substring are eligible; `None`
-    /// matches every key. Kill-chaos tests scope the fault to one map
-    /// task's outputs (e.g. `"task-00000/"`) so exactly one worker dies.
-    pub key_filter: Option<String>,
-}
-
-impl FetchChaos {
-    /// A spec striking exactly one matching epoch-0 request.
-    pub fn once(policy: FetchPolicy) -> Self {
-        FetchChaos { policy, max_strikes: 1, max_epoch: 0, key_filter: None }
+        let cap = self.max_strikes.unwrap_or(u64::MAX);
+        self.injected
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| (n < cap).then_some(n + 1))
+            .ok()?;
+        Some(self.fault)
     }
 
-    pub fn with_max_strikes(mut self, n: u64) -> Self {
-        self.max_strikes = n;
-        self
-    }
-
-    pub fn with_key_filter(mut self, filter: impl Into<String>) -> Self {
-        self.key_filter = Some(filter.into());
-        self
-    }
-
-    /// Encodes the spec for the `STARK_FETCH_CHAOS` environment variable:
-    /// `policy[:delay_ms]|max_strikes|max_epoch|key_filter` (the filter
-    /// field may be empty).
-    pub fn to_env(&self) -> String {
-        let policy = match self.policy {
-            FetchPolicy::RefuseFetch => "refuse".to_string(),
-            FetchPolicy::DropBucket => "drop".to_string(),
-            FetchPolicy::CorruptBucket => "corrupt".to_string(),
-            FetchPolicy::DelayFetch(d) => format!("delay:{}", d.as_millis()),
-            FetchPolicy::KillServingWorker => "kill".to_string(),
+    /// Encodes the plan (not its strike count) for a worker's `--faults`
+    /// flag: `fault:arg|seed|rate|fail_attempts|max_strikes|target`, with
+    /// an empty cap for "uncapped" and an empty or `partition:N` /
+    /// `stage:N` / `key:SUBSTR` target.
+    pub(crate) fn to_spec(&self) -> String {
+        let (name, arg) = self.fault.parts();
+        let cap = self.max_strikes.map(|n| n.to_string()).unwrap_or_default();
+        let target = match &self.target {
+            None => String::new(),
+            Some(Target::Partition(p)) => format!("partition:{p}"),
+            Some(Target::Stage(s)) => format!("stage:{s}"),
+            Some(Target::Key(k)) => format!("key:{k}"),
         };
-        format!(
-            "{policy}|{}|{}|{}",
-            self.max_strikes,
-            self.max_epoch,
-            self.key_filter.as_deref().unwrap_or("")
-        )
+        format!("{name}:{arg}|{}|{}|{}|{cap}|{target}", self.seed, self.rate, self.fail_attempts)
     }
 
-    /// Decodes [`FetchChaos::to_env`]'s format; `None` on any mismatch
-    /// (a malformed spec disables chaos rather than guessing).
-    pub fn from_env(s: &str) -> Option<FetchChaos> {
-        let mut parts = s.splitn(4, '|');
-        let policy = match parts.next()? {
-            "refuse" => FetchPolicy::RefuseFetch,
-            "drop" => FetchPolicy::DropBucket,
-            "corrupt" => FetchPolicy::CorruptBucket,
-            "kill" => FetchPolicy::KillServingWorker,
-            p => {
-                let ms: u64 = p.strip_prefix("delay:")?.parse().ok()?;
-                FetchPolicy::DelayFetch(Duration::from_millis(ms))
-            }
+    /// Decodes [`Self::to_spec`]'s format. Any mismatch is an error, so a
+    /// worker handed a bad spec refuses to start instead of running
+    /// unarmed.
+    pub(crate) fn from_spec(spec: &str) -> Result<FaultPlan, String> {
+        fn num<T: std::str::FromStr>(s: &str) -> Option<T> {
+            s.parse().ok()
+        }
+        let decode = || {
+            let mut f = spec.splitn(6, '|');
+            let (name, arg) = f.next()?.split_once(':')?;
+            let mut plan =
+                FaultPlan::new(num(f.next()?)?, 1.0, Fault::from_parts(name, num(arg)?)?);
+            plan.rate = num::<f64>(f.next()?).filter(|r| (0.0..=1.0).contains(r))?;
+            plan.fail_attempts = num(f.next()?).filter(|&n| n >= 1)?;
+            plan.max_strikes = match f.next()? {
+                "" => None,
+                n => Some(num(n)?),
+            };
+            plan.target = match f.next()? {
+                "" => None,
+                t => Some(match t.split_once(':')? {
+                    ("partition", p) => Target::Partition(num(p)?),
+                    ("stage", s) => Target::Stage(num(s)?),
+                    ("key", k) => Target::Key(k.to_string()),
+                    _ => return None,
+                }),
+            };
+            Some(plan)
         };
-        let max_strikes = parts.next()?.parse().ok()?;
-        let max_epoch = parts.next()?.parse().ok()?;
-        let filter = parts.next()?;
-        Some(FetchChaos {
-            policy,
-            max_strikes,
-            max_epoch,
-            key_filter: if filter.is_empty() { None } else { Some(filter.to_string()) },
-        })
+        decode().ok_or_else(|| format!("malformed fault spec {spec:?}"))
     }
 }
 
-/// Worker-side strike counter wrapping a [`FetchChaos`] spec. Consulted
-/// by the shuffle server on every bucket request.
-#[derive(Debug)]
-pub struct FetchChaosState {
-    spec: FetchChaos,
-    struck: AtomicU64,
+/// splitmix64 finaliser: the one hash behind every seeded draw — fault
+/// strikes, backoff jitter and `Rdd::sample`.
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
-impl FetchChaosState {
-    pub fn new(spec: FetchChaos) -> Self {
-        FetchChaosState { spec, struck: AtomicU64::new(0) }
-    }
+/// Maps a hash to a uniform draw in `[0, 1)`.
+pub(crate) fn unit(h: u64) -> f64 {
+    (h >> 11) as f64 / (1u64 << 53) as f64
+}
 
-    /// Builds the state from `STARK_FETCH_CHAOS` if set and well-formed.
-    pub fn from_env_var() -> Option<Self> {
-        let spec = std::env::var("STARK_FETCH_CHAOS").ok()?;
-        FetchChaos::from_env(&spec).map(Self::new)
-    }
-
-    /// Fetch faults injected so far by this worker.
-    pub fn injected(&self) -> u64 {
-        self.struck.load(Ordering::Relaxed)
-    }
-
-    /// Returns the policy to apply to a request for `key` at `epoch`, or
-    /// `None` to serve normally. Claims a strike slot atomically so
-    /// concurrent request handlers cannot overshoot the cap.
-    pub fn draw(&self, key: &str, epoch: u64) -> Option<FetchPolicy> {
-        if epoch > self.spec.max_epoch {
-            return None; // regenerated outputs must serve cleanly
-        }
-        if let Some(filter) = &self.spec.key_filter {
-            if !key.contains(filter.as_str()) {
-                return None;
-            }
-        }
-        let mut cur = self.struck.load(Ordering::Relaxed);
-        loop {
-            if cur >= self.spec.max_strikes {
-                return None;
-            }
-            match self.struck.compare_exchange(cur, cur + 1, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return Some(self.spec.policy),
-                Err(now) => cur = now,
-            }
-        }
-    }
+/// Jittered exponential backoff: `base · 2^min(exp, 6)`, scaled into
+/// `[0.5, 1.5)` by a draw keyed on `key`, so work that failed together
+/// does not retry in lockstep. Shared by task retries, worker respawns
+/// and shuffle fetches.
+pub(crate) fn jittered_backoff(base: Duration, exp: u32, key: u64) -> Duration {
+    (base * (1u32 << exp.min(6))).mul_f64(0.5 + unit(splitmix64(key)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::inject_task_fault;
+    use crate::memory::MemoryManager;
+
+    fn hits(plan: &FaultPlan, stage: u64, partition: usize) -> bool {
+        plan.strike(Site::Task { stage, partition, attempt: 0 }).is_some()
+    }
 
     #[test]
     fn probability_draws_are_deterministic_and_proportional() {
-        let a = FaultInjector::transient(42, 0.25);
-        let b = FaultInjector::transient(42, 0.25);
-        let hits: usize = (0..40u64)
+        let a = FaultPlan::transient(42, 0.25);
+        let b = FaultPlan::transient(42, 0.25);
+        let hit_count: usize = (0..40u64)
             .flat_map(|s| (0..100usize).map(move |p| (s, p)))
-            .filter(|&(s, p)| a.targets(s, p))
+            .filter(|&(s, p)| hits(&a, s, p))
             .count();
         for s in 0..40u64 {
             for p in 0..100usize {
-                assert_eq!(a.targets(s, p), b.targets(s, p), "same seed must draw identically");
+                assert_eq!(hits(&a, s, p), hits(&b, s, p), "same seed must draw identically");
             }
         }
-        let rate = hits as f64 / 4000.0;
+        let rate = hit_count as f64 / 4000.0;
         assert!((rate - 0.25).abs() < 0.05, "got hit rate {rate}, expected ~0.25");
         // a different seed produces a different schedule
-        let c = FaultInjector::transient(43, 0.25);
+        let c = FaultPlan::transient(43, 0.25);
         let differs = (0..40u64)
             .flat_map(|s| (0..100usize).map(move |p| (s, p)))
-            .any(|(s, p)| a.targets(s, p) != c.targets(s, p));
+            .any(|(s, p)| hits(&a, s, p) != hits(&c, s, p));
         assert!(differs, "different seeds must differ somewhere");
     }
 
     #[test]
     fn scope_targets_partition_and_stage() {
-        let p = FaultInjector::new(1, FaultScope::Partition(3), FaultPolicy::Transient);
-        assert!(p.targets(0, 3) && p.targets(9, 3));
-        assert!(!p.targets(0, 2));
-        let s = FaultInjector::new(1, FaultScope::Stage(2), FaultPolicy::Transient);
-        assert!(s.targets(2, 0) && s.targets(2, 7));
-        assert!(!s.targets(3, 0));
+        let p = FaultPlan::new(1, 1.0, Fault::Transient).with_target(Target::Partition(3));
+        assert!(hits(&p, 0, 3) && hits(&p, 9, 3));
+        assert!(!hits(&p, 0, 2));
+        let s = FaultPlan::new(1, 1.0, Fault::Transient).with_target(Target::Stage(2));
+        assert!(hits(&s, 2, 0) && hits(&s, 2, 7));
+        assert!(!hits(&s, 3, 0));
     }
 
     #[test]
     fn transient_faults_stop_after_fail_attempts() {
         let mm = MemoryManager::new(None, std::sync::Arc::new(crate::metrics::Metrics::default()));
-        let inj = FaultInjector::new(7, FaultScope::Partition(0), FaultPolicy::Transient)
+        let plan = FaultPlan::new(7, 1.0, Fault::Transient)
+            .with_target(Target::Partition(0))
             .with_fail_attempts(2);
         for attempt in 0..2 {
-            let err = std::panic::catch_unwind(|| inj.on_attempt(0, 0, attempt, &mm));
+            let err = std::panic::catch_unwind(|| inject_task_fault(&plan, 0, 0, attempt, &mm));
             assert!(err.is_err(), "attempt {attempt} must fail");
         }
-        let ok = std::panic::catch_unwind(|| inj.on_attempt(0, 0, 2, &mm));
+        let ok = std::panic::catch_unwind(|| inject_task_fault(&plan, 0, 0, 2, &mm));
         assert!(ok.is_ok(), "attempt past the threshold must pass");
-        assert_eq!(inj.injected(), 2);
+        assert_eq!(plan.injected(), 2);
     }
 
     #[test]
@@ -607,109 +453,151 @@ mod tests {
             Some(1_000_000),
             std::sync::Arc::new(crate::metrics::Metrics::default()),
         );
-        let inj = FaultInjector::new(9, FaultScope::Partition(1), FaultPolicy::MemoryPressure(64));
-        inj.on_attempt(0, 1, 0, &mm); // strikes: no panic, budget shrinks
-        assert_eq!(inj.injected(), 1);
+        let plan =
+            FaultPlan::new(9, 1.0, Fault::MemoryPressure(64)).with_target(Target::Partition(1));
+        inject_task_fault(&plan, 0, 1, 0, &mm); // strikes: no panic, budget shrinks
+        assert_eq!(plan.injected(), 1);
         assert_eq!(mm.budget(), Some(64));
-        inj.on_attempt(0, 1, 1, &mm); // past fail_attempts: no-op
-        assert_eq!(inj.injected(), 1);
-        inj.on_attempt(0, 0, 0, &mm); // untargeted partition: no-op
-        assert_eq!(inj.injected(), 1);
+        inject_task_fault(&plan, 0, 1, 1, &mm); // past fail_attempts: no-op
+        assert_eq!(plan.injected(), 1);
+        inject_task_fault(&plan, 0, 0, 0, &mm); // untargeted partition: no-op
+        assert_eq!(plan.injected(), 1);
         mm.lift_restriction();
         assert_eq!(mm.budget(), Some(1_000_000));
     }
 
     #[test]
     fn rate_bounds_validated() {
-        let r = std::panic::catch_unwind(|| FaultInjector::transient(0, 1.5));
+        let r = std::panic::catch_unwind(|| FaultPlan::transient(0, 1.5));
         assert!(r.is_err());
     }
 
     #[test]
     fn transport_draws_are_deterministic_and_skip_retries() {
-        let a = TransportChaos::new(99, 0.3, TransportPolicy::KillWorker);
-        let b = TransportChaos::new(99, 0.3, TransportPolicy::KillWorker);
-        let mut hits = 0usize;
+        let a = FaultPlan::new(99, 0.3, Fault::KillWorker);
+        let b = FaultPlan::new(99, 0.3, Fault::KillWorker);
+        let draw =
+            |p: &FaultPlan, job, task, attempt| p.strike(Site::Dispatch { job, task, attempt });
+        let mut hit_count = 0usize;
         for job in 0..10u64 {
             for task in 0..100u64 {
-                let da = a.draw(job, task, 0);
-                assert_eq!(da, b.draw(job, task, 0), "same seed must draw identically");
+                let da = draw(&a, job, task, 0);
+                assert_eq!(da, draw(&b, job, task, 0), "same seed must draw identically");
                 if da.is_some() {
-                    hits += 1;
+                    hit_count += 1;
                 }
                 // reassigned attempts are never struck again
-                assert_eq!(a.draw(job, task, 1), None);
+                assert_eq!(draw(&a, job, task, 1), None);
             }
         }
-        let rate = hits as f64 / 1000.0;
+        let rate = hit_count as f64 / 1000.0;
         assert!((rate - 0.3).abs() < 0.08, "got strike rate {rate}, expected ~0.3");
-        assert_eq!(a.injected() as usize, hits);
+        assert_eq!(a.injected() as usize, hit_count);
+        // a dispatch plan never strikes another layer
+        assert!(!hits(&FaultPlan::new(99, 1.0, Fault::KillWorker), 0, 0));
     }
 
     #[test]
     fn once_strikes_exactly_one_dispatch() {
-        let c = TransportChaos::once(TransportPolicy::CorruptFrame);
-        assert_eq!(c.draw(0, 0, 0), Some(TransportPolicy::CorruptFrame));
+        let c = FaultPlan::once(Fault::CorruptFrame);
+        let draw = |task| c.strike(Site::Dispatch { job: 0, task, attempt: 0 });
+        assert_eq!(draw(0), Some(Fault::CorruptFrame));
         for task in 1..50 {
-            assert_eq!(c.draw(0, task, 0), None);
+            assert_eq!(draw(task), None);
         }
         assert_eq!(c.injected(), 1);
     }
 
     #[test]
-    fn fetch_chaos_env_roundtrip() {
-        for spec in [
-            FetchChaos::once(FetchPolicy::KillServingWorker).with_key_filter("task-00000/"),
-            FetchChaos::once(FetchPolicy::RefuseFetch),
-            FetchChaos::once(FetchPolicy::DropBucket).with_max_strikes(3),
-            FetchChaos::once(FetchPolicy::CorruptBucket),
-            FetchChaos {
-                policy: FetchPolicy::DelayFetch(Duration::from_millis(75)),
-                max_strikes: 2,
-                max_epoch: 1,
-                key_filter: None,
-            },
+    fn fault_spec_roundtrip_and_garbage_rejection() {
+        for plan in [
+            FaultPlan::once(Fault::KillServingWorker)
+                .with_target(Target::Key("task-00000/".into())),
+            FaultPlan::once(Fault::RefuseFetch),
+            FaultPlan::once(Fault::DropBucket).with_max_strikes(3),
+            FaultPlan::once(Fault::CorruptBucket),
+            FaultPlan::new(5, 1.0, Fault::DelayFetch(Duration::from_millis(75)))
+                .with_max_strikes(2)
+                .with_fail_attempts(2),
+            FaultPlan::new(805381, 0.1, Fault::Delay(Duration::from_micros(50)))
+                .with_target(Target::Stage(4)),
+            FaultPlan::memory_pressure(3, 0.25, 16 * 1024).with_target(Target::Partition(7)),
+            FaultPlan::new(1, 0.5, Fault::Panic),
+            FaultPlan::new(2, 0.5, Fault::DelayFrame(Duration::from_millis(50))),
         ] {
-            let env = spec.to_env();
-            assert_eq!(FetchChaos::from_env(&env), Some(spec), "spec {env:?} must roundtrip");
+            let spec = plan.to_spec();
+            let back = FaultPlan::from_spec(&spec).unwrap_or_else(|e| panic!("{e}"));
+            assert_eq!(format!("{back:?}"), format!("{plan:?}"), "spec {spec:?} must roundtrip");
         }
-        assert_eq!(FetchChaos::from_env("garbage|x|y|z"), None);
-        assert_eq!(FetchChaos::from_env(""), None);
+        for garbage in [
+            "garbage|x|y|z",
+            "",
+            "kill-worker:0|1|1.5|1||",
+            "kill-worker:0|1|1|0||",
+            "transient:0|1|0.1|1||galaxy:3",
+            "transient|1|0.1|1||",
+        ] {
+            assert!(FaultPlan::from_spec(garbage).is_err(), "{garbage:?} must be rejected");
+        }
     }
 
     #[test]
     fn fetch_chaos_respects_epoch_filter_and_cap() {
-        let state = FetchChaosState::new(
-            FetchChaos::once(FetchPolicy::RefuseFetch)
-                .with_max_strikes(2)
-                .with_key_filter("task-00001/"),
-        );
+        let plan = FaultPlan::once(Fault::RefuseFetch)
+            .with_max_strikes(2)
+            .with_target(Target::Key("task-00001/".into()));
+        let draw = |key, epoch| plan.strike(Site::Fetch { key, epoch });
         // wrong key: never struck
-        assert_eq!(state.draw("sh/task-00000/bucket-00000", 0), None);
+        assert_eq!(draw("sh/task-00000/bucket-00000", 0), None);
         // regenerated epoch: never struck, even on a matching key
-        assert_eq!(state.draw("sh/task-00001/bucket-00000", 1), None);
+        assert_eq!(draw("sh/task-00001/bucket-00000", 1), None);
         // matching key at epoch 0: struck until the cap
-        assert_eq!(state.draw("sh/task-00001/bucket-00000", 0), Some(FetchPolicy::RefuseFetch));
-        assert_eq!(state.draw("sh/task-00001/bucket-00001", 0), Some(FetchPolicy::RefuseFetch));
-        assert_eq!(state.draw("sh/task-00001/bucket-00002", 0), None, "cap exhausted");
-        assert_eq!(state.injected(), 2);
+        assert_eq!(draw("sh/task-00001/bucket-00000", 0), Some(Fault::RefuseFetch));
+        assert_eq!(draw("sh/task-00001/bucket-00001", 0), Some(Fault::RefuseFetch));
+        assert_eq!(draw("sh/task-00001/bucket-00002", 0), None, "cap exhausted");
+        assert_eq!(plan.injected(), 2);
     }
 
     #[test]
     fn max_strikes_caps_under_concurrency() {
-        let c = std::sync::Arc::new(
-            TransportChaos::new(5, 1.0, TransportPolicy::DropFrame).with_max_strikes(3),
-        );
+        let c = std::sync::Arc::new(FaultPlan::new(5, 1.0, Fault::DropFrame).with_max_strikes(3));
         std::thread::scope(|s| {
-            for t in 0..8u64 {
+            for job in 0..8u64 {
                 let c = c.clone();
                 s.spawn(move || {
                     for task in 0..100u64 {
-                        let _ = c.draw(t, task, 0);
+                        let _ = c.strike(Site::Dispatch { job, task, attempt: 0 });
                     }
                 });
             }
         });
         assert_eq!(c.injected(), 3);
+    }
+
+    /// `(stage, partition)` / `(job, task)` pairs seed 805381 strikes at
+    /// rate 0.10 over 8 × 64 — both layers share one draw, so one list.
+    #[rustfmt::skip]
+    const GOLDEN_805381: [(u64, u64); 41] = [
+        (0, 17), (0, 18), (0, 27), (0, 37), (0, 38), (0, 55), (0, 58), (1, 32), (1, 37),
+        (2, 47), (2, 55), (3, 22), (3, 26), (3, 28), (3, 41), (3, 59), (4, 6), (4, 34),
+        (4, 37), (4, 44), (5, 5), (5, 7), (5, 37), (5, 54), (6, 4), (6, 12), (6, 18),
+        (6, 22), (6, 24), (6, 25), (6, 37), (6, 46), (6, 59), (7, 1), (7, 2), (7, 17),
+        (7, 22), (7, 31), (7, 34), (7, 46), (7, 61),
+    ];
+
+    #[test]
+    fn golden_schedule_is_pinned() {
+        let grid = || (0..8u64).flat_map(|a| (0..64u64).map(move |b| (a, b)));
+        let tasks = FaultPlan::transient(805381, 0.10);
+        let struck: Vec<(u64, u64)> =
+            grid().filter(|&(s, p)| hits(&tasks, s, p as usize)).collect();
+        assert_eq!(struck, GOLDEN_805381);
+        let dispatch = FaultPlan::new(805381, 0.10, Fault::KillWorker);
+        let struck: Vec<(u64, u64)> = grid()
+            .filter(|&(job, task)| {
+                dispatch.strike(Site::Dispatch { job, task, attempt: 0 }).is_some()
+            })
+            .collect();
+        assert_eq!(struck, GOLDEN_805381);
     }
 }

@@ -19,8 +19,7 @@
 //!   counter driven by [`Rdd::with_partition_mask`] and wall-clock
 //!   task/job timing;
 //! * lineage-based fault tolerance: failed tasks retry with cache
-//!   eviction up to [`EngineConfig::max_task_retries`], a seeded
-//!   [`FaultInjector`] makes chaos runs deterministic, and
+//!   eviction up to [`EngineConfig::max_task_retries`], and
 //!   [`Rdd::checkpoint`] truncates lineage to the object store;
 //! * straggler defence: cooperative cancellation via a
 //!   [`CancellationToken`] chain, job deadlines
@@ -40,18 +39,20 @@
 //!   fragments ship to forked worker processes over an STK1-framed TCP
 //!   [`transport`]; a [`WorkerPool`] heartbeats, detects worker loss
 //!   (crash, silence, torn frames), reassigns in-flight work to
-//!   survivors and respawns seats with jittered backoff, while
-//!   [`TransportChaos`] injects deterministic transport faults for
-//!   crash-recovery tests;
+//!   survivors and respawns seats with jittered backoff;
 //! * fault-tolerant remote shuffle: each worker serves its map outputs
 //!   over a per-worker [`shuffle`] port (CRC-checked transfers with
 //!   bounded timeouts, capped jittered retries and partial-fetch
 //!   resume); the driver keeps a map-output registry and, when a
 //!   producer dies mid-shuffle, regenerates the lost outputs via
 //!   lineage on the survivors at a bumped shuffle epoch
-//!   (`WorkerPool::run_shuffle`), with [`FetchChaos`] injecting
-//!   deterministic fetch-side faults; `ShuffleMode::SharedStore` keeps
-//!   the shared-directory path as a byte-identical fallback.
+//!   (`WorkerPool::run_shuffle`); `ShuffleMode::SharedStore` keeps the
+//!   shared-directory path as a byte-identical fallback;
+//! * one seeded [`FaultPlan`] makes chaos runs deterministic at every
+//!   layer: task attempts (panics, stalls, memory pressure), task
+//!   dispatches (worker kills, dropped/torn/corrupt/delayed frames) and
+//!   peer bucket fetches (refusals, torn or corrupt transfers, a
+//!   serving-worker kill).
 //!
 //! ```
 //! use stark_engine::Context;
@@ -82,10 +83,7 @@ pub mod worker;
 
 pub use cancel::{CancelReason, CancelScope, CancellationToken};
 pub use context::{Context, EngineConfig};
-pub use fault::{
-    FaultInjector, FaultPolicy, FaultScope, FetchChaos, FetchChaosState, FetchPolicy,
-    TransportChaos, TransportPolicy,
-};
+pub use fault::{Fault, FaultPlan, Target};
 pub use memory::{ChildBudget, ChildReservation, MemoryManager, MemoryReservation};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use partition::{Partition, PartitionIntoIter};

@@ -27,6 +27,7 @@ use crate::context::Context;
 use crate::executor;
 use crate::executor::TaskAbort;
 pub use crate::executor::{TaskError, TaskErrorKind};
+use crate::fault::{splitmix64, unit};
 use crate::memory::{MemoryReservation, VictimState};
 use crate::partition::Partition;
 use crate::storage::{ObjectStore, StorageError};
@@ -1213,9 +1214,7 @@ impl<T: Data> Rdd<T> {
             data.into_iter()
                 .filter(|_| {
                     state = splitmix64(state);
-                    // uniform draw in [0, 1)
-                    let u = (state >> 11) as f64 / (1u64 << 53) as f64;
-                    u < fraction
+                    unit(state) < fraction
                 })
                 .collect()
         })
@@ -1235,15 +1234,6 @@ impl<T: Data> Rdd<T> {
             data.into_iter().enumerate().map(|(j, t)| (base + j as u64, t)).collect()
         })
     }
-}
-
-/// splitmix64 step — a tiny, high-quality PRNG for sampling.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl<T: StoreData + Hash + Eq> Rdd<T> {
@@ -1884,13 +1874,13 @@ mod tests {
 
     #[test]
     fn checkpoint_recovery_rereads_blob_after_failure() {
-        use crate::fault::{FaultInjector, FaultPolicy, FaultScope};
+        use crate::fault::{Fault, FaultPlan, Target};
         let chaos =
-            Arc::new(FaultInjector::new(3, FaultScope::Partition(1), FaultPolicy::Transient));
+            Arc::new(FaultPlan::new(3, 1.0, Fault::Transient).with_target(Target::Partition(1)));
         let c = Context::with_config(EngineConfig {
             parallelism: 2,
             default_partitions: 2,
-            fault_injector: Some(chaos.clone()),
+            faults: Some(chaos.clone()),
             ..EngineConfig::default()
         });
         let store = temp_store("recover");

@@ -36,7 +36,7 @@
 //! escalate to the driver, which treats it as a lost-map-output signal
 //! (see `WorkerPool::run_shuffle`).
 
-use crate::fault::{splitmix64, FetchChaosState, FetchPolicy};
+use crate::fault::{jittered_backoff, splitmix64, Fault, FaultPlan, Site};
 use crate::storage::{crc32, ObjectStore, StorageError, MAX_BLOB_LEN};
 use crate::transport::{recv_msg, send_msg};
 use serde::{Deserialize, Serialize};
@@ -158,7 +158,8 @@ pub struct ShuffleEnv {
     /// Registered epoch per bucket key; requests must match exactly.
     epochs: Mutex<HashMap<String, u64>>,
     cfg: FetchConfig,
-    chaos: Option<FetchChaosState>,
+    /// Fetch-layer fault plan consulted on every bucket request served.
+    faults: Option<FaultPlan>,
     fetch_retries: AtomicU64,
     bytes_fetched: AtomicU64,
     rng: AtomicU64,
@@ -169,7 +170,7 @@ impl ShuffleEnv {
     pub fn new(
         root: impl AsRef<Path>,
         cfg: FetchConfig,
-        chaos: Option<FetchChaosState>,
+        faults: Option<FaultPlan>,
     ) -> Result<Arc<ShuffleEnv>, StorageError> {
         let store = ObjectStore::open(root)?;
         Ok(Arc::new(ShuffleEnv {
@@ -177,7 +178,7 @@ impl ShuffleEnv {
             epochs: Mutex::new(HashMap::new()),
             rng: AtomicU64::new(splitmix64(cfg.seed ^ 0x5A17_F00D)),
             cfg,
-            chaos,
+            faults,
             fetch_retries: AtomicU64::new(0),
             bytes_fetched: AtomicU64::new(0),
         }))
@@ -258,18 +259,19 @@ impl ShuffleEnv {
                 }
                 Some(_) => {}
             }
-            let policy = self.chaos.as_ref().and_then(|c| c.draw(&key, epoch));
-            match policy {
-                Some(FetchPolicy::KillServingWorker) => {
+            let fault =
+                self.faults.as_ref().and_then(|p| p.strike(Site::Fetch { key: &key, epoch }));
+            match fault {
+                Some(Fault::KillServingWorker) => {
                     // fail-stop: the worker (and all its map outputs)
                     // vanishes mid-shuffle
                     std::process::exit(1);
                 }
-                Some(FetchPolicy::RefuseFetch) => {
+                Some(Fault::RefuseFetch) => {
                     send_msg(&mut writer, &FetchRsp::Refused)?;
                     continue;
                 }
-                Some(FetchPolicy::DelayFetch(d)) => std::thread::sleep(d),
+                Some(Fault::DelayFetch(d)) => std::thread::sleep(d),
                 _ => {}
             }
             let Ok(data) = self.store.get_bytes(&key) else {
@@ -278,15 +280,15 @@ impl ShuffleEnv {
             };
             let off = (offset as usize).min(data.len());
             send_msg(&mut writer, &FetchRsp::Bucket { len: data.len() as u64, crc: crc32(&data) })?;
-            match policy {
-                Some(FetchPolicy::DropBucket) => {
+            match fault {
+                Some(Fault::DropBucket) => {
                     // torn transfer: half the remaining bytes, then hang
                     // up — the client resumes from its new offset
                     let part = &data[off..off + (data.len() - off) / 2];
                     writer.write_all(part)?;
                     return Ok(());
                 }
-                Some(FetchPolicy::CorruptBucket) => {
+                Some(Fault::CorruptBucket) => {
                     // full-length transfer, one byte flipped after the
                     // CRC was announced — the client must reject it
                     let mut sent = data[off..].to_vec();
@@ -313,7 +315,8 @@ impl ShuffleEnv {
         for attempt in 0..attempts {
             if attempt > 0 {
                 self.fetch_retries.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(self.jittered_backoff(attempt - 1));
+                let jitter = self.rng.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);
+                std::thread::sleep(jittered_backoff(self.cfg.backoff_base, attempt - 1, jitter));
             }
             match self.try_fetch(addr, key, epoch, &mut buf) {
                 Ok(()) => {
@@ -404,13 +407,6 @@ impl ShuffleEnv {
         }
         Ok(())
     }
-
-    fn jittered_backoff(&self, exp: u32) -> Duration {
-        let scaled = self.cfg.backoff_base * (1u32 << exp.min(6));
-        let draw = splitmix64(self.rng.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed));
-        let factor = 0.5 + (draw >> 11) as f64 / (1u64 << 53) as f64;
-        scaled.mul_f64(factor)
-    }
 }
 
 impl Drop for ShuffleEnv {
@@ -430,9 +426,8 @@ enum AttemptError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FetchChaos;
 
-    fn env_with(tag: &str, chaos: Option<FetchChaosState>) -> Arc<ShuffleEnv> {
+    fn env_with(tag: &str, faults: Option<FaultPlan>) -> Arc<ShuffleEnv> {
         let root =
             std::env::temp_dir().join(format!("stark-shuffle-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
@@ -443,7 +438,7 @@ mod tests {
             backoff_base: Duration::from_millis(2),
             seed: 7,
         };
-        ShuffleEnv::new(root, cfg, chaos).unwrap()
+        ShuffleEnv::new(root, cfg, faults).unwrap()
     }
 
     fn addr(port: u16) -> String {
@@ -493,8 +488,7 @@ mod tests {
 
     #[test]
     fn torn_transfers_resume_from_the_received_offset() {
-        let chaos =
-            FetchChaosState::new(FetchChaos::once(FetchPolicy::DropBucket).with_max_strikes(2));
+        let chaos = FaultPlan::once(Fault::DropBucket).with_max_strikes(2);
         let server = env_with("torn", Some(chaos));
         let data: Vec<u8> = (0..50_000u32).map(|x| x as u8).collect();
         server.put_bucket("sh/task-00000/bucket-00000", 0, &data).unwrap();
@@ -508,7 +502,7 @@ mod tests {
 
     #[test]
     fn corrupt_transfers_are_rejected_and_refetched() {
-        let chaos = FetchChaosState::new(FetchChaos::once(FetchPolicy::CorruptBucket));
+        let chaos = FaultPlan::once(Fault::CorruptBucket);
         let server = env_with("corrupt", Some(chaos));
         let data = vec![0x5Au8; 9000];
         server.put_bucket("sh/task-00000/bucket-00000", 0, &data).unwrap();
@@ -522,8 +516,7 @@ mod tests {
 
     #[test]
     fn refused_fetches_retry_until_the_policy_exhausts() {
-        let chaos =
-            FetchChaosState::new(FetchChaos::once(FetchPolicy::RefuseFetch).with_max_strikes(3));
+        let chaos = FaultPlan::once(Fault::RefuseFetch).with_max_strikes(3);
         let server = env_with("refused", Some(chaos));
         server.put_bucket("sh/task-00000/bucket-00000", 0, b"payload").unwrap();
         let port = server.serve().unwrap();

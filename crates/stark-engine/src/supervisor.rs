@@ -11,7 +11,7 @@
 //! * **Worker-loss detection** — connection EOF or a torn frame
 //!   (fail-stop workers die on any protocol error), heartbeat silence,
 //!   or a task outliving its per-task deadline. All three funnel into
-//!   one `mark_down` path.
+//!   one `mark_down` path, which also enforces the per-task retry budget.
 //! * **Recovery** — a dead worker's in-flight task is reassigned to a
 //!   survivor with a bumped attempt number (its shuffle output lives in
 //!   the shared object store and is simply rewritten — lineage-based
@@ -21,19 +21,19 @@
 //! * **Graceful drain** — shutdown sends [`DriverMsg::Drain`], waits
 //!   briefly for clean exits, then kills stragglers.
 //!
-//! Transport chaos ([`TransportChaos`]) hooks the dispatch path:
-//! kill -9 after send, dropped/truncated/corrupted/delayed task frames.
-//! Each policy exercises a different detection route, but recovery is
+//! A dispatch-layer [`FaultPlan`] hooks the dispatch path: kill -9 at
+//! send, dropped/truncated/corrupted/delayed task frames.
+//! Each fault exercises a different detection route, but recovery is
 //! always the same reassignment path — which is why the chaos suite can
 //! pin `tasks_reassigned == injected` and byte-identical results.
 
-use crate::fault::{splitmix64, FetchChaos, TransportChaos, TransportPolicy};
+use crate::fault::{jittered_backoff, splitmix64, Fault, FaultPlan, Site};
 use crate::metrics::counters;
 use crate::plan::{
     shuffle_bucket_key, PlanFragment, PlanInput, PlanOp, PlanSink, TaskOutput, TaskResult,
 };
 use crate::shuffle::{FetchFailure, FetchSource};
-use crate::storage::{crc32, ObjectStore, FRAME_MAGIC};
+use crate::storage::ObjectStore;
 use crate::transport::{recv_msg, recv_payload, send_msg, write_frame, DriverMsg, WorkerMsg};
 use serde_json::Value;
 use std::collections::{HashMap, VecDeque};
@@ -80,11 +80,10 @@ pub struct WorkerPoolConfig {
     /// Shared object store for shuffle buckets and checkpoints; `None`
     /// creates a fresh temp-dir store.
     pub store_root: Option<PathBuf>,
-    /// Transport fault injection consulted on every dispatch.
-    pub chaos: Option<Arc<TransportChaos>>,
-    /// Fetch-side fault injection, exported to every forked worker via
-    /// the `STARK_FETCH_CHAOS` environment variable.
-    pub fetch_chaos: Option<FetchChaos>,
+    /// Fault injection. A dispatch-layer plan is consulted on every
+    /// dispatch; a fetch-layer plan is handed to every forked worker as
+    /// `--faults <spec>` (each worker counts its own strikes).
+    pub faults: Option<Arc<FaultPlan>>,
     /// How many lost-output regeneration rounds one remote shuffle may
     /// run before giving up (a fetch failure that survives this many
     /// re-productions is not transient).
@@ -106,8 +105,7 @@ impl WorkerPoolConfig {
             max_respawns: 3,
             max_task_retries: 3,
             store_root: None,
-            chaos: None,
-            fetch_chaos: None,
+            faults: None,
             max_shuffle_regens: 4,
             seed: 0xC4A05,
         }
@@ -505,8 +503,8 @@ impl WorkerPool {
             .arg(self.store.root())
             .stdin(Stdio::null())
             .stdout(Stdio::null());
-        if let Some(fc) = &self.cfg.fetch_chaos {
-            cmd.env("STARK_FETCH_CHAOS", fc.to_env());
+        if let Some(plan) = self.cfg.faults.as_ref().filter(|p| p.strikes_fetches()) {
+            cmd.arg("--faults").arg(plan.to_spec());
         }
         let mut child =
             cmd.spawn().map_err(|e| spawn_err(format!("fork {:?}: {e}", self.cfg.program)))?;
@@ -845,8 +843,8 @@ impl WorkerPool {
             return;
         };
         for seat in 0..self.slots.len() {
-            if self.slots[seat].shuffle_port == port && self.slots[seat].is_live() {
-                self.mark_down(seat, "unusable shuffle server", &mut VecDeque::new(), true);
+            if self.slots[seat].shuffle_port == port {
+                self.take_down(seat, self.slots[seat].gen, "unusable shuffle server");
             }
         }
     }
@@ -885,35 +883,23 @@ impl WorkerPool {
                 break;
             }
             match self.events_rx.recv_timeout(Duration::from_millis(5)) {
-                Ok(Event::Msg { seat, gen, msg, .. }) => {
-                    if self.slots[seat].gen != gen {
-                        continue;
-                    }
-                    let answered = match msg {
-                        WorkerMsg::TaskOk { id, .. } | WorkerMsg::TaskErr { id, .. } => Some(id),
-                        _ => None,
-                    };
-                    if let Some(id) = answered {
-                        if matches!(
-                            self.slots[seat].state,
-                            SlotState::Busy { task, .. } if task == id as usize
-                        ) {
-                            self.slots[seat].state = SlotState::Idle;
-                        }
-                    }
+                Ok(Event::Msg {
+                    seat,
+                    gen,
+                    msg: WorkerMsg::TaskOk { id, .. } | WorkerMsg::TaskErr { id, .. },
+                    ..
+                }) if self.slots[seat].gen == gen => {
+                    self.settle(seat, id);
                 }
-                Ok(Event::Gone { seat, gen, reason }) => {
-                    if self.slots[seat].gen == gen && self.slots[seat].is_live() {
-                        self.mark_down(seat, &reason, &mut VecDeque::new(), true);
-                    }
-                }
+                Ok(Event::Msg { .. }) => {}
+                Ok(Event::Gone { seat, gen, reason }) => self.take_down(seat, gen, &reason),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => break,
             }
         }
         for seat in 0..self.slots.len() {
             if matches!(self.slots[seat].state, SlotState::Busy { .. }) {
-                self.mark_down(seat, "wedged during quiesce", &mut VecDeque::new(), true);
+                self.take_down(seat, self.slots[seat].gen, "wedged during quiesce");
             }
         }
     }
@@ -925,9 +911,7 @@ impl WorkerPool {
     fn reset_for_new_job(&mut self) {
         while let Ok(ev) = self.events_rx.try_recv() {
             if let Event::Gone { seat, gen, reason } = ev {
-                if self.slots[seat].gen == gen && self.slots[seat].is_live() {
-                    self.mark_down(seat, &reason, &mut VecDeque::new(), true);
-                }
+                self.take_down(seat, gen, &reason);
             }
         }
         for slot in &mut self.slots {
@@ -952,19 +936,9 @@ impl WorkerPool {
             if due {
                 self.slots[seat].respawns_left -= 1;
                 match self.spawn_worker(seat) {
-                    Ok(()) => {
-                        self.counters.workers_respawned.add(1);
-                    }
-                    Err(_) if self.slots[seat].respawns_left > 0 => {
-                        // schedule another attempt, backoff grown
-                        let exp = self.slots[seat].consecutive_failures;
-                        let wait = self.jittered_backoff(exp);
-                        self.slots[seat].consecutive_failures += 1;
-                        self.slots[seat].next_respawn = Some(Instant::now() + wait);
-                    }
-                    Err(_) => {
-                        self.slots[seat].next_respawn = None;
-                    }
+                    Ok(()) => self.counters.workers_respawned.add(1),
+                    // try again while the budget lasts, backoff grown
+                    Err(_) => self.schedule_respawn(seat),
                 }
             }
         }
@@ -985,17 +959,17 @@ impl WorkerPool {
                 if let Err(reason) = self.dispatch(seat, task, attempt, &tasks[task], job) {
                     // The send itself failed: the task never reached the
                     // worker, so requeue it at the same attempt. Clear the
-                    // Busy state first so mark_down does not reassign it a
-                    // second time.
+                    // Busy state first so it is not reassigned a second
+                    // time.
                     self.slots[seat].state = SlotState::Idle;
                     pending.push_front((task, attempt));
-                    self.mark_down(seat, &reason, pending, false);
+                    self.take_down(seat, self.slots[seat].gen, &reason);
                 }
             }
         }
     }
 
-    /// Sends one task to one worker, applying any injected transport
+    /// Sends one task to one worker, applying any injected dispatch
     /// fault. Returns `Err(reason)` if the transport write failed.
     fn dispatch(
         &mut self,
@@ -1005,7 +979,11 @@ impl WorkerPool {
         dist: &DistTask,
         job: u64,
     ) -> Result<(), String> {
-        let policy = self.cfg.chaos.as_ref().and_then(|c| c.draw(job, task as u64, attempt));
+        let fault = self
+            .cfg
+            .faults
+            .as_ref()
+            .and_then(|p| p.strike(Site::Dispatch { job, task: task as u64, attempt }));
         let deadline = Instant::now() + self.cfg.task_timeout;
         self.slots[seat].state = SlotState::Busy { task, attempt, deadline };
         self.counters.tasks_dispatched.add(1);
@@ -1017,13 +995,13 @@ impl WorkerPool {
             has_payload: dist.payload.is_some(),
         };
 
-        match policy {
-            Some(TransportPolicy::DropFrame) => {
+        match fault {
+            Some(Fault::DropFrame) => {
                 // the worker never hears about the task; the per-task
                 // deadline recovers it
                 return Ok(());
             }
-            Some(TransportPolicy::KillWorker) => {
+            Some(Fault::KillWorker) => {
                 // Fail-stop crash at dispatch: the victim dies before the
                 // task frame lands, so the in-flight task is always
                 // recovered by reassignment (never by a duplicate
@@ -1034,15 +1012,27 @@ impl WorkerPool {
                 }
                 return Ok(());
             }
-            Some(TransportPolicy::DelayFrame(d)) => std::thread::sleep(d),
+            Some(Fault::DelayFrame(d)) => std::thread::sleep(d),
             _ => {}
         }
 
         let payload_len = dist.payload.as_ref().map(|p| p.len() as u64).unwrap_or(0);
         let writer = self.slots[seat].writer.as_mut().expect("live worker has a writer");
-        let send_result = match policy {
-            Some(TransportPolicy::TruncateFrame) => send_truncated(writer, &msg),
-            Some(TransportPolicy::CorruptFrame) => send_corrupted(writer, &msg),
+        let send_result = match fault {
+            Some(f @ (Fault::TruncateFrame | Fault::CorruptFrame)) => {
+                // Build the real frame, then tear it (the length prefix
+                // promises bytes that never come: the worker wedges
+                // mid-read) or flip its last payload byte after the CRC
+                // (the worker's decoder rejects it and fail-stops).
+                let mut frame = Vec::new();
+                send_msg(&mut frame, &msg).map_err(|e| format!("dispatch: {e}"))?;
+                if f == Fault::TruncateFrame {
+                    frame.truncate(frame.len() / 2);
+                } else if let Some(last) = frame.last_mut() {
+                    *last ^= 0x40;
+                }
+                writer.write_all(&frame)
+            }
             _ => {
                 let r = send_msg(writer, &msg);
                 match (&r, &dist.payload) {
@@ -1071,15 +1061,7 @@ impl WorkerPool {
                 }
                 match msg {
                     WorkerMsg::TaskOk { id, output, micros: _, fetch_retries, fetch_bytes } => {
-                        let matches_busy = matches!(
-                            self.slots[seat].state,
-                            SlotState::Busy { task, .. } if task == id as usize
-                        );
-                        if !matches_busy {
-                            return Ok(()); // answer to an abandoned job
-                        }
-                        let task = id as usize;
-                        self.slots[seat].state = SlotState::Idle;
+                        let Some((task, _)) = self.settle(seat, id) else { return Ok(()) };
                         self.slots[seat].consecutive_failures = 0;
                         self.counters.fetch_retries.add(fetch_retries);
                         self.counters.shuffle_bytes_fetched_remote.add(fetch_bytes);
@@ -1093,14 +1075,7 @@ impl WorkerPool {
                         self.counters.tasks_completed.add(1);
                     }
                     WorkerMsg::TaskErr { id, message, retryable, fetch_retries, fetch } => {
-                        let busy = match self.slots[seat].state {
-                            SlotState::Busy { task, attempt, .. } if task == id as usize => {
-                                Some((task, attempt))
-                            }
-                            _ => None,
-                        };
-                        let Some((task, attempt)) = busy else { return Ok(()) };
-                        self.slots[seat].state = SlotState::Idle;
+                        let Some((task, attempt)) = self.settle(seat, id) else { return Ok(()) };
                         self.counters.fetch_retries.add(fetch_retries);
                         if let Some(failure) = fetch {
                             // escalate to the lost-output recovery loop
@@ -1131,33 +1106,37 @@ impl WorkerPool {
                 if self.slots[seat].gen != gen || !self.slots[seat].is_live() {
                     return Ok(()); // stale or already handled
                 }
-                self.mark_down(seat, &reason, pending, false);
-                if let Some((_, attempt)) = pending.back() {
-                    if *attempt > self.cfg.max_task_retries {
-                        let (task, attempt) = pending.pop_back().expect("just observed");
-                        return Err(PoolError::RetriesExhausted {
-                            task,
-                            attempts: attempt,
-                            last: reason,
-                        });
-                    }
-                }
+                self.mark_down(seat, &reason, Some(pending))?;
             }
         }
         Ok(())
     }
 
-    /// Declares a worker lost: kills the process, reassigns its
-    /// in-flight task (unless `abandon_task`) and schedules a respawn
-    /// with jittered exponential backoff.
+    /// Settles `seat`'s in-flight task if `id` answers it: the seat goes
+    /// Idle and the task's `(index, attempt)` is returned. An answer to
+    /// anything else (a task of an abandoned job) is ignored.
+    fn settle(&mut self, seat: usize, id: u64) -> Option<(usize, u32)> {
+        match self.slots[seat].state {
+            SlotState::Busy { task, attempt, .. } if task as u64 == id => {
+                self.slots[seat].state = SlotState::Idle;
+                Some((task, attempt))
+            }
+            _ => None,
+        }
+    }
+
+    /// Declares a worker lost: kills the process, schedules a respawn
+    /// with jittered exponential backoff and, given a `requeue`, reassigns
+    /// its in-flight task there at the next attempt — failing with
+    /// [`PoolError::RetriesExhausted`] (citing `reason`) once that attempt
+    /// is past the retry budget. Without a `requeue` the task is
+    /// abandoned.
     fn mark_down(
         &mut self,
         seat: usize,
         reason: &str,
-        pending: &mut VecDeque<(usize, u32)>,
-        abandon_task: bool,
-    ) {
-        let _ = reason;
+        requeue: Option<&mut VecDeque<(usize, u32)>>,
+    ) -> Result<(), PoolError> {
         let slot = &mut self.slots[seat];
         if let Some(child) = &mut slot.child {
             let _ = child.kill();
@@ -1165,24 +1144,37 @@ impl WorkerPool {
         }
         slot.child = None;
         slot.writer = None;
-        if let SlotState::Busy { task, attempt, .. } = slot.state {
-            if !abandon_task {
-                // lineage-based reassignment: the task's input is either
-                // inline (driver still holds it) or in the shared store,
-                // so any survivor can recompute it
-                self.counters.tasks_reassigned.add(1);
-                pending.push_back((task, attempt + 1));
-            }
-        }
-        let slot = &mut self.slots[seat];
+        let orphan = match slot.state {
+            SlotState::Busy { task, attempt, .. } => Some((task, attempt + 1)),
+            _ => None,
+        };
         slot.state = SlotState::Down;
-        let exp = slot.consecutive_failures;
-        slot.consecutive_failures = slot.consecutive_failures.saturating_add(1);
-        let respawnable = slot.respawns_left > 0;
         self.counters.workers_lost.add(1);
-        if respawnable {
-            let wait = self.jittered_backoff(exp);
-            self.slots[seat].next_respawn = Some(Instant::now() + wait);
+        self.schedule_respawn(seat);
+        let (Some(pending), Some((task, attempt))) = (requeue, orphan) else { return Ok(()) };
+        // lineage-based reassignment: the task's input is either inline
+        // (driver still holds it) or in the shared store, so any survivor
+        // can recompute it
+        self.counters.tasks_reassigned.add(1);
+        if attempt > self.cfg.max_task_retries {
+            return Err(PoolError::RetriesExhausted {
+                task,
+                attempts: attempt,
+                last: reason.into(),
+            });
+        }
+        pending.push_back((task, attempt));
+        Ok(())
+    }
+
+    /// Takes a current incarnation down without requeueing its task: for
+    /// loss reports and wedges met between jobs or while an aborted job
+    /// settles (the task belongs to a job that already failed), and for
+    /// a seat whose task was already requeued. Stale reports are ignored.
+    fn take_down(&mut self, seat: usize, gen: u64, reason: &str) {
+        if self.slots[seat].gen == gen && self.slots[seat].is_live() {
+            // without a requeue, mark_down has no budget to exhaust
+            let _ = self.mark_down(seat, reason, None);
         }
     }
 
@@ -1199,39 +1191,27 @@ impl WorkerPool {
                 SlotState::Busy { deadline, .. } if now >= deadline
             );
             if silent || overdue {
-                self.mark_down(
-                    seat,
-                    if silent { "heartbeat timeout" } else { "task deadline exceeded" },
-                    pending,
-                    false,
-                );
-                if let Some((task, attempt)) = pending.back().copied() {
-                    if attempt > self.cfg.max_task_retries {
-                        pending.pop_back();
-                        return Err(PoolError::RetriesExhausted {
-                            task,
-                            attempts: attempt,
-                            last: if silent {
-                                "heartbeat timeout".into()
-                            } else {
-                                "task deadline exceeded".into()
-                            },
-                        });
-                    }
-                }
+                let reason = if silent { "heartbeat timeout" } else { "task deadline exceeded" };
+                self.mark_down(seat, reason, Some(pending))?;
             }
         }
         Ok(())
     }
 
-    /// Deterministic jittered exponential backoff: `base * 2^exp`,
-    /// scaled by a seeded draw in `[0.5, 1.5)` so seats that died
-    /// together don't respawn in lockstep.
-    fn jittered_backoff(&mut self, exp: u32) -> Duration {
-        let scaled = self.cfg.respawn_backoff * (1u32 << exp.min(6));
-        self.rng = splitmix64(self.rng);
-        let factor = 0.5 + (self.rng >> 11) as f64 / (1u64 << 53) as f64;
-        scaled.mul_f64(factor)
+    /// Counts a failure of `seat` and, while its respawn budget lasts,
+    /// schedules the next respawn after a jittered exponential backoff
+    /// (exponent: the seat's consecutive failures), drawn from the pool's
+    /// seeded stream so seats that died together don't respawn in
+    /// lockstep.
+    fn schedule_respawn(&mut self, seat: usize) {
+        let exp = self.slots[seat].consecutive_failures;
+        self.slots[seat].consecutive_failures = exp.saturating_add(1);
+        self.slots[seat].next_respawn = None;
+        if self.slots[seat].respawns_left > 0 {
+            let wait = jittered_backoff(self.cfg.respawn_backoff, exp, self.rng);
+            self.rng = splitmix64(self.rng);
+            self.slots[seat].next_respawn = Some(Instant::now() + wait);
+        }
     }
 
     /// Waits up to `timeout` for scheduled respawns to bring lost seats
@@ -1245,9 +1225,7 @@ impl WorkerPool {
             // honour loss reports that arrived while the pool was idle
             while let Ok(ev) = self.events_rx.try_recv() {
                 if let Event::Gone { seat, gen, reason } = ev {
-                    if self.slots[seat].gen == gen && self.slots[seat].is_live() {
-                        self.mark_down(seat, &reason, &mut VecDeque::new(), true);
-                    }
+                    self.take_down(seat, gen, &reason);
                 }
             }
             self.respawn_due();
@@ -1309,7 +1287,7 @@ impl Drop for WorkerPool {
 }
 
 // ---------------------------------------------------------------------------
-// Reader thread + chaos frame writers
+// Reader thread
 // ---------------------------------------------------------------------------
 
 fn reader_loop(
@@ -1358,36 +1336,6 @@ fn reader_loop(
             }
         }
     }
-}
-
-/// Chaos: writes a frame whose length prefix promises more bytes than
-/// follow — the receiver blocks mid-frame, wedged but heartbeating.
-fn send_truncated(w: &mut impl Write, msg: &DriverMsg) -> io::Result<()> {
-    let payload = serde_json::to_vec(msg)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("encode: {e}")))?;
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(FRAME_MAGIC);
-    buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-    buf.extend_from_slice(&payload[..payload.len() / 2]);
-    w.write_all(&buf)
-}
-
-/// Chaos: writes a complete frame whose payload was bit-flipped after
-/// the checksum was computed — the receiver detects the mismatch and
-/// fail-stops.
-fn send_corrupted(w: &mut impl Write, msg: &DriverMsg) -> io::Result<()> {
-    let mut payload = serde_json::to_vec(msg)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("encode: {e}")))?;
-    let crc = crc32(&payload);
-    let mid = payload.len() / 2;
-    payload[mid] ^= 0x40;
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(FRAME_MAGIC);
-    buf.extend_from_slice(&crc.to_le_bytes());
-    buf.extend_from_slice(&payload);
-    w.write_all(&buf)
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! control-plus-payload pair is sent under one lock so frames never
 //! interleave.
 
-use crate::fault::FetchChaosState;
+use crate::fault::FaultPlan;
 use crate::plan::{ExecEnv, PlanError, PlanFragment, SchemaExecutor, TaskResult};
 use crate::shuffle::{FetchConfig, ShuffleEnv};
 use crate::storage::{sweep_orphan_dirs, ObjectStore};
@@ -79,6 +79,7 @@ impl WorkerRuntime {
         worker_id: usize,
         heartbeat: Duration,
         store_root: Option<&Path>,
+        faults: Option<FaultPlan>,
     ) -> io::Result<()> {
         let sock = addr.to_socket_addrs()?.next().ok_or_else(|| {
             io::Error::new(
@@ -87,17 +88,19 @@ impl WorkerRuntime {
             )
         })?;
         let stream = TcpStream::connect_timeout(&sock, CONNECT_TIMEOUT)?;
-        self.serve(stream, worker_id, heartbeat, store_root)
+        self.serve(stream, worker_id, heartbeat, store_root, faults)
     }
 
     /// Serves the worker protocol over an established connection. Used
     /// directly by in-process tests; the binaries call [`Self::run`].
+    /// `faults` arms the bucket server with a fetch-layer plan.
     pub fn serve(
         &self,
         stream: TcpStream,
         worker_id: usize,
         heartbeat: Duration,
         store_root: Option<&Path>,
+        faults: Option<FaultPlan>,
     ) -> io::Result<()> {
         stream.set_nodelay(true).ok();
         let store = match store_root {
@@ -109,8 +112,7 @@ impl WorkerRuntime {
 
         // Remote-shuffle half: sweep bucket dirs orphaned by crashed
         // prior workers, then open this worker's own bucket store and
-        // serve it on a fresh port. `STARK_FETCH_CHAOS` arms
-        // deterministic fetch-side fault injection for the chaos suite.
+        // serve it on a fresh port.
         static SHUFFLE_SEQ: AtomicUsize = AtomicUsize::new(0);
         let shuffle_base = std::env::temp_dir();
         sweep_orphan_dirs(&shuffle_base, "stark-shuffle-");
@@ -120,10 +122,9 @@ impl WorkerRuntime {
             SHUFFLE_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
         let shuffle =
-            ShuffleEnv::new(&shuffle_root, FetchConfig::default(), FetchChaosState::from_env_var())
-                .map_err(|e| {
-                    io::Error::new(io::ErrorKind::InvalidInput, format!("open shuffle store: {e}"))
-                })?;
+            ShuffleEnv::new(&shuffle_root, FetchConfig::default(), faults).map_err(|e| {
+                io::Error::new(io::ErrorKind::InvalidInput, format!("open shuffle store: {e}"))
+            })?;
         let shuffle_port = shuffle.serve().unwrap_or(0);
 
         let writer = Arc::new(Mutex::new(stream.try_clone()?));
@@ -269,10 +270,13 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
 ///
 /// ```text
 /// <bin> --addr 127.0.0.1:PORT --id N [--heartbeat-ms 50] [--store DIR]
+///       [--faults SPEC]
 /// ```
 ///
 /// `STARK_WORKER_ADDR`, `STARK_WORKER_ID`, `STARK_WORKER_HEARTBEAT_MS`
-/// and `STARK_STORE_ROOT` serve as fallbacks for each flag.
+/// and `STARK_STORE_ROOT` serve as fallbacks for the first four flags.
+/// `--faults` takes a fault-plan spec from the pool; a spec that does not
+/// decode is a startup error.
 pub fn run_from_args(
     runtime: &WorkerRuntime,
     args: impl Iterator<Item = String>,
@@ -282,6 +286,7 @@ pub fn run_from_args(
     let mut heartbeat_ms: u64 =
         std::env::var("STARK_WORKER_HEARTBEAT_MS").ok().and_then(|s| s.parse().ok()).unwrap_or(50);
     let mut store: Option<PathBuf> = std::env::var("STARK_STORE_ROOT").ok().map(PathBuf::from);
+    let mut faults = None;
 
     let bad = |m: String| io::Error::new(io::ErrorKind::InvalidInput, m);
     let mut args = args.peekable();
@@ -294,12 +299,13 @@ pub fn run_from_args(
                 heartbeat_ms = value()?.parse().map_err(|e| bad(format!("--heartbeat-ms: {e}")))?
             }
             "--store" => store = Some(PathBuf::from(value()?)),
+            "--faults" => faults = Some(FaultPlan::from_spec(&value()?).map_err(bad)?),
             other => return Err(bad(format!("unknown flag {other:?}"))),
         }
     }
     let addr = addr.ok_or_else(|| bad("missing --addr (or STARK_WORKER_ADDR)".into()))?;
     let id = id.ok_or_else(|| bad("missing --id (or STARK_WORKER_ID)".into()))?;
-    runtime.run(&addr, id, Duration::from_millis(heartbeat_ms.max(1)), store.as_deref())
+    runtime.run(&addr, id, Duration::from_millis(heartbeat_ms.max(1)), store.as_deref(), faults)
 }
 
 #[cfg(test)]
@@ -324,7 +330,7 @@ mod tests {
         let handle = std::thread::spawn(move || {
             let rt = int_runtime();
             let stream = TcpStream::connect(addr).unwrap();
-            rt.serve(stream, 0, Duration::from_millis(10), None)
+            rt.serve(stream, 0, Duration::from_millis(10), None, None)
         });
         let (driver_side, _) = listener.accept().unwrap();
         (driver_side, handle)
@@ -457,6 +463,14 @@ mod tests {
         }
         send_msg(&mut w, &DriverMsg::Drain).unwrap();
         handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn malformed_fault_spec_is_a_startup_error() {
+        let args = ["--addr", "127.0.0.1:1", "--id", "0", "--faults", "drop-bucket:0|x"];
+        let err = run_from_args(&int_runtime(), args.iter().map(|a| a.to_string())).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains("malformed fault spec"), "{err}");
     }
 
     #[test]

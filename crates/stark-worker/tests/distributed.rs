@@ -1,5 +1,5 @@
 //! Multi-process execution tests: a [`WorkerPool`] forking real
-//! `stark-worker` processes over TCP, with transport chaos. The tests
+//! `stark-worker` processes over TCP, with injected faults. The tests
 //! run the engine's built-in `i64` schema, which the worker registers
 //! beside the spatial `event` schema.
 //!
@@ -13,8 +13,7 @@ use stark_engine::plan::{
 };
 use stark_engine::supervisor::{bucket_keys_for_partition, DistTask};
 use stark_engine::{
-    FetchChaos, FetchPolicy, ShuffleMode, ShuffleSpec, TransportChaos, TransportPolicy, WorkerPool,
-    WorkerPoolConfig,
+    Fault, FaultPlan, PoolError, ShuffleMode, ShuffleSpec, Target, WorkerPool, WorkerPoolConfig,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -173,13 +172,13 @@ fn checkpoint_sink_writes_recoverable_blobs_remotely() {
 /// Runs one job under an injected one-shot fault and asserts results are
 /// byte-identical to the fault-free reference, with exactly one
 /// reassignment.
-fn assert_recovers_from(policy: TransportPolicy, task_timeout: Option<Duration>) {
+fn assert_recovers_from(fault: Fault, task_timeout: Option<Duration>) {
     let inputs: Vec<Vec<i64>> = (0..10).map(|t| (t * 7..t * 7 + 30).collect()).collect();
     let tasks: Vec<DistTask> = inputs.iter().map(|rows| add_even_task(rows, 5)).collect();
 
-    let chaos = Arc::new(TransportChaos::once(policy));
+    let chaos = Arc::new(FaultPlan::once(fault));
     let mut cfg = pool_config(4);
-    cfg.chaos = Some(chaos.clone());
+    cfg.faults = Some(chaos.clone());
     if let Some(t) = task_timeout {
         cfg.task_timeout = t;
     }
@@ -203,32 +202,48 @@ fn assert_recovers_from(policy: TransportPolicy, task_timeout: Option<Duration>)
 
 #[test]
 fn worker_killed_mid_task_is_detected_and_reassigned() {
-    assert_recovers_from(TransportPolicy::KillWorker, None);
+    assert_recovers_from(Fault::KillWorker, None);
 }
 
 #[test]
 fn corrupt_task_frame_fail_stops_the_worker_and_recovers() {
-    assert_recovers_from(TransportPolicy::CorruptFrame, None);
+    assert_recovers_from(Fault::CorruptFrame, None);
 }
 
 #[test]
 fn dropped_task_frame_recovers_via_task_deadline() {
-    assert_recovers_from(TransportPolicy::DropFrame, Some(Duration::from_millis(400)));
+    assert_recovers_from(Fault::DropFrame, Some(Duration::from_millis(400)));
 }
 
 #[test]
 fn truncated_task_frame_recovers_via_task_deadline() {
-    assert_recovers_from(TransportPolicy::TruncateFrame, Some(Duration::from_millis(400)));
+    assert_recovers_from(Fault::TruncateFrame, Some(Duration::from_millis(400)));
+}
+
+#[test]
+fn worker_loss_past_the_retry_budget_fails_typed() {
+    let tasks: Vec<DistTask> = (0..4).map(|t| add_even_task(&[t, t + 1], 1)).collect();
+    let mut cfg = pool_config(2);
+    cfg.max_task_retries = 0;
+    cfg.faults = Some(Arc::new(FaultPlan::once(Fault::KillWorker)));
+    let mut pool = WorkerPool::spawn(cfg).unwrap();
+    match pool.execute(&tasks) {
+        Err(PoolError::RetriesExhausted { attempts: 1, last, .. }) => assert!(!last.is_empty()),
+        Err(e) => panic!("expected RetriesExhausted after one attempt, got {e}"),
+        Ok(_) => panic!("a lost task with no retry budget must fail the job"),
+    }
+    assert_eq!(pool.stats().tasks_reassigned, 1);
+    assert_eq!(pool.stats().workers_lost, 1);
+    pool.shutdown();
 }
 
 #[test]
 fn delayed_task_frame_completes_without_loss() {
     let inputs: Vec<Vec<i64>> = (0..4).map(|t| vec![t, t + 1, t + 2]).collect();
     let tasks: Vec<DistTask> = inputs.iter().map(|rows| add_even_task(rows, 2)).collect();
-    let chaos =
-        Arc::new(TransportChaos::once(TransportPolicy::DelayFrame(Duration::from_millis(50))));
+    let chaos = Arc::new(FaultPlan::once(Fault::DelayFrame(Duration::from_millis(50))));
     let mut cfg = pool_config(2);
-    cfg.chaos = Some(chaos.clone());
+    cfg.faults = Some(chaos.clone());
     let mut pool = WorkerPool::spawn(cfg).unwrap();
     let results = pool.execute(&tasks).unwrap();
     for (input, result) in inputs.iter().zip(&results) {
@@ -245,7 +260,7 @@ fn respawned_seat_restores_capacity_for_the_next_job() {
     let tasks: Vec<DistTask> = inputs.iter().map(|rows| add_even_task(rows, 1)).collect();
 
     let mut cfg = pool_config(3);
-    cfg.chaos = Some(Arc::new(TransportChaos::once(TransportPolicy::KillWorker)));
+    cfg.faults = Some(Arc::new(FaultPlan::once(Fault::KillWorker)));
     cfg.respawn_backoff = Duration::from_millis(10);
     let mut pool = WorkerPool::spawn(cfg).unwrap();
 
@@ -354,11 +369,11 @@ fn torn_fetches_recover_with_one_retry_per_strike() {
     let mut cfg = pool_config(3);
     // strikes are counted per serving process, so scope the fault to the
     // one worker serving task-0 buckets to pin the total at 2
-    cfg.fetch_chaos = Some(
-        FetchChaos::once(FetchPolicy::DropBucket)
+    cfg.faults = Some(Arc::new(
+        FaultPlan::once(Fault::DropBucket)
             .with_max_strikes(2)
-            .with_key_filter("task-00000/"),
-    );
+            .with_target(Target::Key("task-00000/".into())),
+    ));
     let mut pool = WorkerPool::spawn(cfg).unwrap();
     let results =
         pool.run_shuffle(&map_tasks, &shuffle_spec(ShuffleMode::Remote, "rs/torn")).unwrap();
@@ -382,9 +397,10 @@ fn killed_serving_worker_regenerates_its_outputs_via_lineage() {
 
     let mut cfg = pool_config(3);
     // Exactly one worker dies: the first fetch of a task-0 bucket kills
-    // its server; regenerated outputs live at epoch 1, above max_epoch.
-    cfg.fetch_chaos =
-        Some(FetchChaos::once(FetchPolicy::KillServingWorker).with_key_filter("task-00000/"));
+    // its server; regenerated outputs live at epoch 1, past the gate.
+    cfg.faults = Some(Arc::new(
+        FaultPlan::once(Fault::KillServingWorker).with_target(Target::Key("task-00000/".into())),
+    ));
     cfg.respawn_backoff = Duration::from_millis(10);
     let mut pool = WorkerPool::spawn(cfg).unwrap();
     let results =

@@ -23,7 +23,7 @@ use stark_engine::plan::{
     decode_rows, encode_rows, PlanFragment, PlanInput, PlanOp, PlanSink, TaskOutput,
 };
 use stark_engine::supervisor::{bucket_keys_for_partition, DistTask};
-use stark_engine::{TaskResult, TransportChaos, TransportPolicy, WorkerPool, WorkerPoolConfig};
+use stark_engine::{Fault, FaultPlan, TaskResult, WorkerPool, WorkerPoolConfig};
 use stark_eventsim::EventGenerator;
 use stark_geo::Envelope;
 use std::sync::Arc;
@@ -55,11 +55,11 @@ fn grid_for(data: &[EventRow]) -> GridPartitioner {
     GridPartitioner::build(4, &summary)
 }
 
-fn kill_pool(workers: usize) -> (WorkerPool, Arc<TransportChaos>) {
-    let chaos = Arc::new(TransportChaos::once(TransportPolicy::KillWorker));
+fn kill_pool(workers: usize) -> (WorkerPool, Arc<FaultPlan>) {
+    let chaos = Arc::new(FaultPlan::once(Fault::KillWorker));
     let mut cfg = WorkerPoolConfig::new(WORKER);
     cfg.workers = workers;
-    cfg.chaos = Some(chaos.clone());
+    cfg.faults = Some(chaos.clone());
     (WorkerPool::spawn(cfg).expect("spawn chaos pool"), chaos)
 }
 
@@ -132,7 +132,7 @@ fn sorted_ids(results: &[TaskResult]) -> Vec<u64> {
     ids
 }
 
-fn assert_exactly_one_kill(pool: &WorkerPool, chaos: &TransportChaos) {
+fn assert_exactly_one_kill(pool: &WorkerPool, chaos: &FaultPlan) {
     let stats = pool.stats();
     assert_eq!(chaos.injected(), 1, "one-shot chaos must have struck");
     assert_eq!(

@@ -25,10 +25,11 @@ use stark::{GridPartitioner, STPredicate, SpatialPartitioner};
 use stark_engine::plan::{decode_rows, encode_rows, PlanFragment, PlanInput, PlanOp, PlanSink};
 use stark_engine::supervisor::DistTask;
 use stark_engine::{
-    FetchChaos, FetchPolicy, ShuffleMode, ShuffleSpec, TaskResult, WorkerPool, WorkerPoolConfig,
+    Fault, FaultPlan, ShuffleMode, ShuffleSpec, Target, TaskResult, WorkerPool, WorkerPoolConfig,
 };
 use stark_eventsim::EventGenerator;
 use stark_geo::Envelope;
+use std::sync::Arc;
 use std::time::Duration;
 
 const DEFAULT_CHAOS_SEED: u64 = 0xC4A05;
@@ -58,10 +59,10 @@ fn grid_for(data: &[EventRow]) -> GridPartitioner {
     GridPartitioner::build(4, &summary)
 }
 
-fn shuffle_pool(workers: usize, fetch_chaos: Option<FetchChaos>) -> WorkerPool {
+fn shuffle_pool(workers: usize, faults: Option<FaultPlan>) -> WorkerPool {
     let mut cfg = WorkerPoolConfig::new(WORKER);
     cfg.workers = workers;
-    cfg.fetch_chaos = fetch_chaos;
+    cfg.faults = faults.map(Arc::new);
     cfg.respawn_backoff = Duration::from_millis(10);
     WorkerPool::spawn(cfg).expect("spawn shuffle pool")
 }
@@ -229,9 +230,10 @@ fn killing_a_serving_worker_regenerates_exactly_the_lost_outputs() {
     assert!(!reference.is_empty(), "the query box must select something");
 
     // The first fetch of a task-0 bucket kills the worker serving it;
-    // regenerated outputs land at epoch 1, above the chaos `max_epoch`,
+    // regenerated outputs land at epoch 1, past the plan's attempt gate,
     // so recovery traffic is never struck again.
-    let chaos = FetchChaos::once(FetchPolicy::KillServingWorker).with_key_filter("task-00000/");
+    let chaos =
+        FaultPlan::once(Fault::KillServingWorker).with_target(Target::Key("task-00000/".into()));
     let mut pool = shuffle_pool(4, Some(chaos));
     let results = pool
         .run_shuffle(
@@ -276,8 +278,7 @@ proptest! {
         policy_idx in 0usize..3,
         strikes in 0u64..=3,
     ) {
-        let policy = [FetchPolicy::RefuseFetch, FetchPolicy::DropBucket, FetchPolicy::CorruptBucket]
-            [policy_idx];
+        let policy = [Fault::RefuseFetch, Fault::DropBucket, Fault::CorruptBucket][policy_idx];
         let data = events(seed, 600);
         let grid = grid_for(&data);
         let maps = map_tasks_for(&data, 6);
@@ -293,9 +294,9 @@ proptest! {
 
         // Strikes are counted per serving process; scoping them to the
         // worker serving task-0 buckets pins the total exactly.
-        let chaos = FetchChaos::once(policy)
+        let chaos = FaultPlan::once(policy)
             .with_max_strikes(strikes)
-            .with_key_filter("task-00000/");
+            .with_target(Target::Key("task-00000/".into()));
         let mut pool = shuffle_pool(3, Some(chaos));
         let struck = pool
             .run_shuffle(
