@@ -116,8 +116,9 @@ pub enum PlanSink {
     /// recover from blobs written by workers.
     Checkpoint { key: String, partition: usize },
     /// Remote-shuffle write: identical bucketing to `ShuffleWrite`, but
-    /// the buckets land in the executing worker's *local* shuffle store,
-    /// registered under `epoch`, and are served to reducers over the
+    /// the non-empty buckets land as one blob in the executing worker's
+    /// *local* shuffle store, each registered under `epoch` by its
+    /// [`shuffle_bucket_key`], and are served to reducers over the
     /// worker's shuffle port instead of a shared directory.
     ShuffleWriteLocal {
         partitioner: String,
@@ -510,17 +511,12 @@ impl<T: StoreData> OpRegistry<T> {
                 let shuffle = env.shuffle.ok_or(PlanError::MissingShuffle)?;
                 let key_fn = Self::resolve("partitioner", &self.partitioners, partitioner, arg)?;
                 let buckets = route_buckets(&key_fn, rows, *num_partitions)?;
-                let mut counts = Vec::with_capacity(buckets.len());
-                for (b, bucket) in buckets.iter().enumerate() {
-                    counts.push(bucket.len() as u64);
-                    if !bucket.is_empty() {
-                        shuffle.put_bucket(
-                            &shuffle_bucket_key(prefix, *task, b),
-                            *epoch,
-                            &encode_rows(bucket)?,
-                        )?;
-                    }
+                let counts = buckets.iter().map(|b| b.len() as u64).collect();
+                let mut encoded = Vec::new();
+                for (b, bucket) in buckets.iter().enumerate().filter(|(_, b)| !b.is_empty()) {
+                    encoded.push((b, encode_rows(bucket)?));
                 }
+                shuffle.put_map_output(prefix, *task, *epoch, &encoded)?;
                 Ok(TaskResult { output: TaskOutput::BucketCounts(counts), payload: None })
             }
             PlanSink::Checkpoint { key, partition } => {

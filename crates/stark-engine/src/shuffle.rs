@@ -7,6 +7,13 @@
 //! directory — the layout a real cluster needs, where no common
 //! filesystem exists.
 //!
+//! A map task's non-empty buckets land in **one blob per map task**
+//! (Spark's sort-based shuffle layout: one data file plus an index,
+//! instead of one file per bucket). The worker's registry records each
+//! bucket's epoch, byte range in that blob and the CRC32 taken when the
+//! bucket was written; the server reads just that range and checks it
+//! against that CRC before announcing it.
+//!
 //! The fetch protocol is one STK1-framed request/response pair followed
 //! by a *raw* byte stream:
 //!
@@ -24,6 +31,11 @@
 //! verified once the assembled buffer is complete — a flipped byte
 //! discards the buffer and restarts from offset 0.
 //!
+//! The server answers any number of requests on one connection, and the
+//! client keeps idle connections per peer: a connection returns to the
+//! pool once a bucket fetched over it passed its CRC check, and later
+//! fetches from that peer reuse it.
+//!
 //! Every bucket carries a **shuffle epoch**. Map outputs regenerated
 //! after a worker loss register at a bumped epoch, and the server rejects
 //! requests whose epoch does not match its registration
@@ -34,18 +46,20 @@
 //! blocking call, capped retries with jittered exponential backoff
 //! absorb transient faults, and only then does a typed [`FetchFailure`]
 //! escalate to the driver, which treats it as a lost-map-output signal
-//! (see `WorkerPool::run_shuffle`).
+//! (see `WorkerPool::run_shuffle`). Once a stage is finished the driver
+//! tells every worker to [`ShuffleEnv::release`] it.
 
 use crate::fault::{jittered_backoff, splitmix64, Fault, FaultPlan, Site};
+use crate::plan::shuffle_bucket_key;
 use crate::storage::{crc32, ObjectStore, StorageError, MAX_BLOB_LEN};
 use crate::transport::{recv_msg, send_msg};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::io::{self, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::time::Duration;
 
 // ---------------------------------------------------------------------------
@@ -145,21 +159,50 @@ impl Default for FetchConfig {
 // Shuffle environment
 // ---------------------------------------------------------------------------
 
+/// Where one registered bucket lives: a byte range of its map task's
+/// blob, with the CRC32 taken when the bucket was written.
+#[derive(Debug, Clone)]
+struct BucketLoc {
+    epoch: u64,
+    /// Store key of the map task's output blob.
+    blob: String,
+    offset: usize,
+    len: usize,
+    crc: u32,
+}
+
+/// Store key of one map task's output blob.
+fn map_output_key(prefix: &str, task: usize) -> String {
+    format!("{prefix}/task-{task:05}.data")
+}
+
+/// One client connection to a peer's bucket server.
+struct Conn {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
 /// A worker's shuffle half: the local bucket store it serves from, the
-/// epoch registry guarding those buckets, and the fetch client reducers
-/// on this worker use to pull peers' buckets.
+/// registry guarding those buckets, and the fetch client reducers on
+/// this worker use to pull peers' buckets.
 ///
 /// Shared (`Arc`) between the executing thread, the accept loop and the
-/// per-connection handlers. The accept loop holds only a [`Weak`]
-/// reference, so dropping every strong handle stops the server and
-/// removes the backing directory.
+/// per-connection handlers. The accept loop and the handlers hold only
+/// [`Weak`] references, so dropping every strong handle stops the server
+/// and removes the backing directory.
 pub struct ShuffleEnv {
     store: ObjectStore,
-    /// Registered epoch per bucket key; requests must match exactly.
-    epochs: Mutex<HashMap<String, u64>>,
+    /// Registered buckets by bucket key; requests must match the epoch
+    /// exactly.
+    buckets: Mutex<HashMap<String, BucketLoc>>,
     cfg: FetchConfig,
     /// Fetch-layer fault plan consulted on every bucket request served.
     faults: Option<FaultPlan>,
+    /// Idle fetch connections per peer address.
+    idle: Mutex<HashMap<String, Vec<Conn>>>,
+    /// The bucket server's listening address, once serving.
+    listen: OnceLock<SocketAddr>,
+    accepted: AtomicU64,
     fetch_retries: AtomicU64,
     bytes_fetched: AtomicU64,
     rng: AtomicU64,
@@ -175,10 +218,13 @@ impl ShuffleEnv {
         let store = ObjectStore::open(root)?;
         Ok(Arc::new(ShuffleEnv {
             store,
-            epochs: Mutex::new(HashMap::new()),
+            buckets: Mutex::new(HashMap::new()),
             rng: AtomicU64::new(splitmix64(cfg.seed ^ 0x5A17_F00D)),
             cfg,
             faults,
+            idle: Mutex::new(HashMap::new()),
+            listen: OnceLock::new(),
+            accepted: AtomicU64::new(0),
             fetch_retries: AtomicU64::new(0),
             bytes_fetched: AtomicU64::new(0),
         }))
@@ -189,16 +235,58 @@ impl ShuffleEnv {
         &self.store
     }
 
-    /// Writes a map-output bucket and registers it under `epoch`.
-    pub fn put_bucket(&self, key: &str, epoch: u64, data: &[u8]) -> Result<(), StorageError> {
-        self.store.put_bytes(key, data)?;
-        self.epochs.lock().unwrap().insert(key.to_string(), epoch);
+    /// Writes map task `task`'s non-empty buckets — `(bucket index,
+    /// encoded rows)` pairs — as one blob, and registers each bucket
+    /// under `epoch` by its [`shuffle_bucket_key`] with its byte range
+    /// and CRC32.
+    pub fn put_map_output(
+        &self,
+        prefix: &str,
+        task: usize,
+        epoch: u64,
+        buckets: &[(usize, Vec<u8>)],
+    ) -> Result<(), StorageError> {
+        if buckets.is_empty() {
+            return Ok(());
+        }
+        let blob = map_output_key(prefix, task);
+        let mut data = Vec::with_capacity(buckets.iter().map(|(_, b)| b.len()).sum());
+        let mut locs = Vec::with_capacity(buckets.len());
+        for (bucket, bytes) in buckets {
+            let loc = BucketLoc {
+                epoch,
+                blob: blob.clone(),
+                offset: data.len(),
+                len: bytes.len(),
+                crc: crc32(bytes),
+            };
+            locs.push((shuffle_bucket_key(prefix, task, *bucket), loc));
+            data.extend_from_slice(bytes);
+        }
+        self.store.put_bytes(&blob, &data)?;
+        self.buckets.lock().expect("bucket registry poisoned").extend(locs);
         Ok(())
     }
 
     /// The epoch a bucket is currently registered under, if any.
     pub fn registered_epoch(&self, key: &str) -> Option<u64> {
-        self.epochs.lock().unwrap().get(key).copied()
+        self.buckets.lock().expect("bucket registry poisoned").get(key).map(|loc| loc.epoch)
+    }
+
+    /// Forgets every bucket of shuffle stage `prefix` and deletes the
+    /// stage's blobs — sent by the driver once the stage is finished.
+    pub fn release(&self, prefix: &str) {
+        let stage = format!("{prefix}/");
+        self.buckets
+            .lock()
+            .expect("bucket registry poisoned")
+            .retain(|key, _| !key.starts_with(&stage));
+        let _ = self.store.delete_prefix(prefix);
+    }
+
+    /// Connections the bucket server has accepted so far.
+    pub fn connections_accepted(&self) -> u64 {
+        self.accepted.load(Ordering::Relaxed)
     }
 
     /// Swaps out and returns the per-task fetch counters
@@ -211,97 +299,118 @@ impl ShuffleEnv {
     }
 
     /// Binds the shuffle port and starts the accept loop. Returns the
-    /// bound port. The loop exits once every strong `Arc` is dropped.
+    /// bound port. The loop blocks in `accept`; dropping the env wakes it
+    /// with a self-connect, and it exits once every strong `Arc` is gone.
     pub fn serve(self: &Arc<Self>) -> io::Result<u16> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
-        let port = listener.local_addr()?.port();
+        let addr = listener.local_addr()?;
+        let _ = self.listen.set(addr);
         let weak: Weak<ShuffleEnv> = Arc::downgrade(self);
         std::thread::spawn(move || loop {
             match listener.accept() {
                 Ok((stream, _)) => {
                     let Some(env) = weak.upgrade() else { return };
+                    env.accepted.fetch_add(1, Ordering::Relaxed);
+                    let weak = weak.clone();
                     std::thread::spawn(move || {
-                        let _ = env.handle_conn(stream);
+                        let _ = Self::handle_conn(&weak, stream);
                     });
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if weak.strong_count() == 0 {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(2));
-                }
+                // the peer gave up before we accepted, or a signal: the
+                // listener itself is fine
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted
+                    ) => {}
                 Err(_) => return,
             }
         });
-        Ok(port)
+        Ok(addr.port())
     }
 
-    /// Serves fetch requests on one connection until the peer hangs up.
-    fn handle_conn(self: &Arc<Self>, stream: TcpStream) -> io::Result<()> {
+    /// Serves fetch requests on one connection until the peer hangs up,
+    /// the env is dropped, or the connection idles past the read timeout.
+    fn handle_conn(env: &Weak<ShuffleEnv>, stream: TcpStream) -> io::Result<()> {
+        let Some(timeout) = env.upgrade().map(|e| e.cfg.read_timeout) else { return Ok(()) };
         stream.set_nodelay(true).ok();
-        stream.set_read_timeout(Some(self.cfg.read_timeout)).ok();
-        stream.set_write_timeout(Some(self.cfg.read_timeout)).ok();
+        stream.set_read_timeout(Some(timeout)).ok();
+        stream.set_write_timeout(Some(timeout)).ok();
         let mut writer = stream.try_clone()?;
         let mut reader = BufReader::new(stream);
         loop {
-            let Some(FetchReq::Bucket { key, epoch, offset }) = recv_msg(&mut reader)? else {
+            let Some(req) = recv_msg::<FetchReq>(&mut reader)? else {
                 return Ok(()); // clean hangup
             };
-            match self.registered_epoch(&key) {
-                None => {
-                    send_msg(&mut writer, &FetchRsp::NotFound)?;
-                    continue;
-                }
-                Some(have) if have != epoch => {
-                    send_msg(&mut writer, &FetchRsp::StaleEpoch { have })?;
-                    continue;
-                }
-                Some(_) => {}
+            let Some(env) = env.upgrade() else { return Ok(()) };
+            if !env.answer(req, &mut writer)? {
+                return Ok(());
             }
-            let fault =
-                self.faults.as_ref().and_then(|p| p.strike(Site::Fetch { key: &key, epoch }));
-            match fault {
-                Some(Fault::KillServingWorker) => {
-                    // fail-stop: the worker (and all its map outputs)
-                    // vanishes mid-shuffle
-                    std::process::exit(1);
-                }
-                Some(Fault::RefuseFetch) => {
-                    send_msg(&mut writer, &FetchRsp::Refused)?;
-                    continue;
-                }
-                Some(Fault::DelayFetch(d)) => std::thread::sleep(d),
-                _ => {}
-            }
-            let Ok(data) = self.store.get_bytes(&key) else {
-                send_msg(&mut writer, &FetchRsp::NotFound)?;
-                continue;
-            };
-            let off = (offset as usize).min(data.len());
-            send_msg(&mut writer, &FetchRsp::Bucket { len: data.len() as u64, crc: crc32(&data) })?;
-            match fault {
-                Some(Fault::DropBucket) => {
-                    // torn transfer: half the remaining bytes, then hang
-                    // up — the client resumes from its new offset
-                    let part = &data[off..off + (data.len() - off) / 2];
-                    writer.write_all(part)?;
-                    return Ok(());
-                }
-                Some(Fault::CorruptBucket) => {
-                    // full-length transfer, one byte flipped after the
-                    // CRC was announced — the client must reject it
-                    let mut sent = data[off..].to_vec();
-                    if !sent.is_empty() {
-                        let mid = sent.len() / 2;
-                        sent[mid] ^= 0x40;
-                    }
-                    writer.write_all(&sent)?;
-                }
-                _ => writer.write_all(&data[off..])?,
-            }
-            writer.flush()?;
         }
+    }
+
+    /// Answers one bucket request. Returns `false` when the connection
+    /// must close after it (a torn transfer).
+    fn answer(&self, req: FetchReq, writer: &mut TcpStream) -> io::Result<bool> {
+        let FetchReq::Bucket { key, epoch, offset } = req;
+        let registered = self.buckets.lock().expect("bucket registry poisoned").get(&key).cloned();
+        let loc = match registered {
+            None => {
+                send_msg(writer, &FetchRsp::NotFound)?;
+                return Ok(true);
+            }
+            Some(loc) if loc.epoch != epoch => {
+                send_msg(writer, &FetchRsp::StaleEpoch { have: loc.epoch })?;
+                return Ok(true);
+            }
+            Some(loc) => loc,
+        };
+        let fault = self.faults.as_ref().and_then(|p| p.strike(Site::Fetch { key: &key, epoch }));
+        match fault {
+            Some(Fault::KillServingWorker) => {
+                // fail-stop: the worker (and all its map outputs)
+                // vanishes mid-shuffle
+                std::process::exit(1);
+            }
+            Some(Fault::RefuseFetch) => {
+                send_msg(writer, &FetchRsp::Refused)?;
+                return Ok(true);
+            }
+            Some(Fault::DelayFetch(d)) => std::thread::sleep(d),
+            _ => {}
+        }
+        // the bucket's range only, checked against its write-time CRC
+        let data = match self.store.get_range(&loc.blob, loc.offset, loc.len) {
+            Ok(data) if crc32(&data) == loc.crc => data,
+            _ => {
+                send_msg(writer, &FetchRsp::NotFound)?;
+                return Ok(true);
+            }
+        };
+        let off = (offset as usize).min(data.len());
+        send_msg(writer, &FetchRsp::Bucket { len: data.len() as u64, crc: loc.crc })?;
+        match fault {
+            Some(Fault::DropBucket) => {
+                // torn transfer: half the remaining bytes, then hang
+                // up — the client resumes from its new offset
+                let part = &data[off..off + (data.len() - off) / 2];
+                writer.write_all(part)?;
+                return Ok(false);
+            }
+            Some(Fault::CorruptBucket) => {
+                // full-length transfer, one byte flipped after the
+                // CRC was announced — the client must reject it
+                let mut sent = data[off..].to_vec();
+                if !sent.is_empty() {
+                    let mid = sent.len() / 2;
+                    sent[mid] ^= 0x40;
+                }
+                writer.write_all(&sent)?;
+            }
+            _ => writer.write_all(&data[off..])?,
+        }
+        writer.flush()?;
+        Ok(true)
     }
 
     /// Fetches one bucket from a peer, with bounded timeouts, capped
@@ -332,7 +441,9 @@ impl ShuffleEnv {
                         reason: format!("stale epoch (server has {have})"),
                     });
                 }
-                Err(AttemptError::Transient(reason)) => last = reason,
+                Err(AttemptError::Transient(reason) | AttemptError::Unanswered(reason)) => {
+                    last = reason
+                }
             }
         }
         Err(FetchFailure {
@@ -344,8 +455,11 @@ impl ShuffleEnv {
         })
     }
 
-    /// One fetch attempt. Received bytes accumulate into `buf` (the
-    /// resume state); a checksum mismatch clears it.
+    /// One fetch attempt, on an idle pooled connection when there is one.
+    /// A pooled connection that dies before any response header arrives
+    /// (the server timed it out while idle) is dropped and the attempt
+    /// re-runs once on a fresh connection — not a retry, so
+    /// `fetch_retries` keeps counting only answered failures.
     fn try_fetch(
         &self,
         addr: &str,
@@ -353,6 +467,21 @@ impl ShuffleEnv {
         epoch: u64,
         buf: &mut Vec<u8>,
     ) -> Result<(), AttemptError> {
+        let pooled = self.idle.lock().expect("idle pool poisoned").get_mut(addr).and_then(Vec::pop);
+        if let Some(conn) = pooled {
+            match self.exchange(conn, addr, key, epoch, buf) {
+                Err(AttemptError::Unanswered(_)) => {}
+                answered => return answered,
+            }
+        }
+        let conn = self.connect(addr).inspect_err(|_| {
+            // the peer is gone: so are its idle connections
+            self.idle.lock().expect("idle pool poisoned").remove(addr);
+        })?;
+        self.exchange(conn, addr, key, epoch, buf)
+    }
+
+    fn connect(&self, addr: &str) -> Result<Conn, AttemptError> {
         let io_err = |e: io::Error| AttemptError::Transient(e.to_string());
         let sock = addr
             .to_socket_addrs()
@@ -363,20 +492,40 @@ impl ShuffleEnv {
         stream.set_read_timeout(Some(self.cfg.read_timeout)).map_err(io_err)?;
         stream.set_write_timeout(Some(self.cfg.read_timeout)).map_err(io_err)?;
         stream.set_nodelay(true).ok();
-        let mut writer = stream.try_clone().map_err(io_err)?;
-        send_msg(
-            &mut writer,
-            &FetchReq::Bucket { key: key.to_string(), epoch, offset: buf.len() as u64 },
-        )
-        .map_err(io_err)?;
-        let mut reader = BufReader::new(stream);
-        let rsp: FetchRsp = recv_msg(&mut reader)
-            .map_err(io_err)?
-            .ok_or_else(|| AttemptError::Transient("server hung up before responding".into()))?;
+        Ok(Conn { writer: stream.try_clone().map_err(io_err)?, reader: BufReader::new(stream) })
+    }
+
+    /// One request/response on `conn`. Received bytes accumulate into
+    /// `buf` (the resume state); a checksum mismatch clears it. The
+    /// connection goes back to the idle pool only after a verified bucket.
+    fn exchange(
+        &self,
+        mut conn: Conn,
+        addr: &str,
+        key: &str,
+        epoch: u64,
+        buf: &mut Vec<u8>,
+    ) -> Result<(), AttemptError> {
+        let io_err = |e: io::Error| AttemptError::Transient(e.to_string());
+        // a hang-up before the response header: the request may never
+        // have reached a live handler
+        let unanswered = |e: io::Error| match e.kind() {
+            io::ErrorKind::BrokenPipe
+            | io::ErrorKind::ConnectionReset
+            | io::ErrorKind::ConnectionAborted => AttemptError::Unanswered(e.to_string()),
+            _ => AttemptError::Transient(e.to_string()),
+        };
+        let req = FetchReq::Bucket { key: key.to_string(), epoch, offset: buf.len() as u64 };
+        send_msg(&mut conn.writer, &req).map_err(unanswered)?;
+        let rsp: FetchRsp = recv_msg(&mut conn.reader)
+            .map_err(unanswered)?
+            .ok_or_else(|| AttemptError::Unanswered("server hung up before responding".into()))?;
         let (len, crc) = match rsp {
             FetchRsp::Refused => return Err(AttemptError::Transient("fetch refused".into())),
             FetchRsp::NotFound => {
-                return Err(AttemptError::Transient("bucket not registered on server".into()))
+                return Err(AttemptError::Transient(
+                    "bucket not served (unregistered or unreadable)".into(),
+                ))
             }
             FetchRsp::StaleEpoch { have } => return Err(AttemptError::Stale { have }),
             FetchRsp::Bucket { len, crc } => (len as usize, crc),
@@ -389,28 +538,40 @@ impl ShuffleEnv {
         if buf.len() > len {
             buf.clear(); // the server's view shrank; resume state is junk
         }
+        buf.reserve(len - buf.len());
         let mut chunk = [0u8; 16 * 1024];
         while buf.len() < len {
-            let n = reader.read(&mut chunk).map_err(io_err)?;
+            // never read past this bucket: the connection may be reused
+            let want = (len - buf.len()).min(chunk.len());
+            let n = conn.reader.read(&mut chunk[..want]).map_err(io_err)?;
             if n == 0 {
                 return Err(AttemptError::Transient(format!(
                     "connection closed mid-transfer at {}/{len} bytes",
                     buf.len()
                 )));
             }
-            let take = n.min(len - buf.len());
-            buf.extend_from_slice(&chunk[..take]);
+            buf.extend_from_slice(&chunk[..n]);
         }
         if crc32(buf) != crc {
             buf.clear();
             return Err(AttemptError::Transient("bucket checksum mismatch".into()));
         }
+        self.idle
+            .lock()
+            .expect("idle pool poisoned")
+            .entry(addr.to_string())
+            .or_default()
+            .push(conn);
         Ok(())
     }
 }
 
 impl Drop for ShuffleEnv {
     fn drop(&mut self) {
+        // wake the blocking accept loop; it finds the env gone and exits
+        if let Some(addr) = self.listen.get() {
+            let _ = TcpStream::connect_timeout(addr, Duration::from_millis(200));
+        }
         // the bucket store is private to this worker's lifetime
         let _ = std::fs::remove_dir_all(self.store.root());
     }
@@ -419,6 +580,8 @@ impl Drop for ShuffleEnv {
 enum AttemptError {
     /// Worth retrying (refused, torn, corrupt, timeout, unreachable).
     Transient(String),
+    /// The connection hung up before any response header arrived.
+    Unanswered(String),
     /// The server registered a different epoch — escalate immediately.
     Stale { have: u64 },
 }
@@ -428,17 +591,33 @@ mod tests {
     use super::*;
 
     fn env_with(tag: &str, faults: Option<FaultPlan>) -> Arc<ShuffleEnv> {
+        env_timing_out(tag, faults, Duration::from_millis(1000))
+    }
+
+    fn env_timing_out(
+        tag: &str,
+        faults: Option<FaultPlan>,
+        read_timeout: Duration,
+    ) -> Arc<ShuffleEnv> {
         let root =
             std::env::temp_dir().join(format!("stark-shuffle-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let cfg = FetchConfig {
             connect_timeout: Duration::from_millis(500),
-            read_timeout: Duration::from_millis(1000),
+            read_timeout,
             max_retries: 4,
             backoff_base: Duration::from_millis(2),
             seed: 7,
         };
         ShuffleEnv::new(root, cfg, faults).unwrap()
+    }
+
+    /// Three buckets (0, 2, 5) of distinct sizes and contents.
+    fn three_buckets() -> Vec<(usize, Vec<u8>)> {
+        [(0usize, 700u32), (2, 1300), (5, 90)]
+            .into_iter()
+            .map(|(b, n)| (b, (0..n).map(|x| (x * 7 + b as u32) as u8).collect()))
+            .collect()
     }
 
     fn addr(port: u16) -> String {
@@ -449,7 +628,7 @@ mod tests {
     fn put_serve_fetch_roundtrip() {
         let server = env_with("roundtrip", None);
         let data: Vec<u8> = (0..10_000u32).flat_map(|x| x.to_le_bytes()).collect();
-        server.put_bucket("sh/task-00000/bucket-00001", 0, &data).unwrap();
+        server.put_map_output("sh", 0, 0, &[(1, data.clone())]).unwrap();
         let port = server.serve().unwrap();
 
         let client = env_with("roundtrip-client", None);
@@ -463,7 +642,7 @@ mod tests {
     #[test]
     fn stale_epoch_is_rejected_without_burning_retries() {
         let server = env_with("stale", None);
-        server.put_bucket("sh/task-00000/bucket-00000", 1, b"fresh").unwrap();
+        server.put_map_output("sh", 0, 1, &[(0, b"fresh".to_vec())]).unwrap();
         let port = server.serve().unwrap();
 
         let client = env_with("stale-client", None);
@@ -491,7 +670,7 @@ mod tests {
         let chaos = FaultPlan::once(Fault::DropBucket).with_max_strikes(2);
         let server = env_with("torn", Some(chaos));
         let data: Vec<u8> = (0..50_000u32).map(|x| x as u8).collect();
-        server.put_bucket("sh/task-00000/bucket-00000", 0, &data).unwrap();
+        server.put_map_output("sh", 0, 0, &[(0, data.clone())]).unwrap();
         let port = server.serve().unwrap();
 
         let client = env_with("torn-client", None);
@@ -505,7 +684,7 @@ mod tests {
         let chaos = FaultPlan::once(Fault::CorruptBucket);
         let server = env_with("corrupt", Some(chaos));
         let data = vec![0x5Au8; 9000];
-        server.put_bucket("sh/task-00000/bucket-00000", 0, &data).unwrap();
+        server.put_map_output("sh", 0, 0, &[(0, data.clone())]).unwrap();
         let port = server.serve().unwrap();
 
         let client = env_with("corrupt-client", None);
@@ -518,7 +697,7 @@ mod tests {
     fn refused_fetches_retry_until_the_policy_exhausts() {
         let chaos = FaultPlan::once(Fault::RefuseFetch).with_max_strikes(3);
         let server = env_with("refused", Some(chaos));
-        server.put_bucket("sh/task-00000/bucket-00000", 0, b"payload").unwrap();
+        server.put_map_output("sh", 0, 0, &[(0, b"payload".to_vec())]).unwrap();
         let port = server.serve().unwrap();
 
         let client = env_with("refused-client", None);
@@ -534,5 +713,126 @@ mod tests {
         let err = client.fetch("127.0.0.1:1", "sh/task-00000/bucket-00000", 0).unwrap_err();
         assert!(!err.stale);
         assert_eq!(client.take_counters().0, 4);
+    }
+
+    #[test]
+    fn one_blob_per_map_task_serves_each_bucket() {
+        let server = env_with("blob", None);
+        let buckets = three_buckets();
+        server.put_map_output("sh", 3, 0, &buckets).unwrap();
+        assert_eq!(server.store().list("").unwrap(), vec![map_output_key("sh", 3)]);
+        let port = server.serve().unwrap();
+
+        let client = env_with("blob-client", None);
+        for (b, data) in &buckets {
+            let key = shuffle_bucket_key("sh", 3, *b);
+            assert_eq!(&client.fetch(&addr(port), &key, 0).unwrap(), data);
+        }
+        let unwritten = shuffle_bucket_key("sh", 3, 1);
+        assert!(client.fetch(&addr(port), &unwritten, 0).is_err());
+    }
+
+    #[test]
+    fn sequential_fetches_from_one_peer_share_one_connection() {
+        let server = env_with("pooled", None);
+        let buckets = three_buckets();
+        server.put_map_output("sh", 0, 0, &buckets).unwrap();
+        let port = server.serve().unwrap();
+
+        let client = env_with("pooled-client", None);
+        for _ in 0..3 {
+            for (b, data) in &buckets {
+                let key = shuffle_bucket_key("sh", 0, *b);
+                assert_eq!(&client.fetch(&addr(port), &key, 0).unwrap(), data);
+            }
+        }
+        assert_eq!(server.connections_accepted(), 1, "nine fetches, one connection");
+        assert_eq!(client.take_counters().0, 0);
+    }
+
+    #[test]
+    fn a_pooled_connection_the_server_closed_is_replaced_without_a_retry() {
+        // the server drops connections idle for 100ms
+        let server = env_timing_out("idle", None, Duration::from_millis(100));
+        server.put_map_output("sh", 0, 0, &[(0, b"payload".to_vec())]).unwrap();
+        let port = server.serve().unwrap();
+
+        let client = env_with("idle-client", None);
+        let key = shuffle_bucket_key("sh", 0, 0);
+        assert_eq!(client.fetch(&addr(port), &key, 0).unwrap(), b"payload");
+        // wait until the server has hung up the pooled connection
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            let closed = {
+                let idle = client.idle.lock().unwrap();
+                let pooled = &idle[&addr(port)][0].writer;
+                pooled.set_nonblocking(true).unwrap();
+                let peeked = pooled.peek(&mut [0u8; 1]);
+                pooled.set_nonblocking(false).unwrap();
+                matches!(peeked, Ok(0))
+            };
+            if closed {
+                break;
+            }
+            assert!(std::time::Instant::now() < deadline, "server kept the idle connection");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert_eq!(client.fetch(&addr(port), &key, 0).unwrap(), b"payload");
+        assert_eq!(client.take_counters().0, 0, "a dead idle connection is not a retry");
+        assert_eq!(server.connections_accepted(), 2);
+    }
+
+    #[test]
+    fn a_flipped_byte_fails_only_its_bucket() {
+        let server = env_with("flip", None);
+        let buckets = three_buckets();
+        server.put_map_output("sh", 0, 0, &buckets).unwrap();
+        // flip one byte inside bucket 2's range (the second in the blob)
+        let path = server.store().root().join(map_output_key("sh", 0));
+        let mut raw = std::fs::read(&path).unwrap();
+        raw[crate::storage::BLOB_HEADER_LEN + buckets[0].1.len() + 5] ^= 0x40;
+        std::fs::write(&path, &raw).unwrap();
+        let port = server.serve().unwrap();
+
+        let client = env_with("flip-client", None);
+        let err = client.fetch(&addr(port), &shuffle_bucket_key("sh", 0, 2), 0).unwrap_err();
+        assert!(!err.stale);
+        assert!(err.reason.contains("attempts exhausted"), "{err}");
+        for (b, data) in [&buckets[0], &buckets[2]] {
+            let key = shuffle_bucket_key("sh", 0, *b);
+            assert_eq!(&client.fetch(&addr(port), &key, 0).unwrap(), data, "bucket {b}");
+        }
+    }
+
+    #[test]
+    fn release_forgets_one_stage_and_deletes_its_blobs() {
+        let server = env_with("release", None);
+        for task in 0..2 {
+            server.put_map_output("st/job-1", task, 0, &three_buckets()).unwrap();
+        }
+        server.put_map_output("st/job-10", 0, 0, &three_buckets()).unwrap();
+        let port = server.serve().unwrap();
+
+        server.release("st/job-1");
+        assert_eq!(server.registered_epoch(&shuffle_bucket_key("st/job-1", 0, 0)), None);
+        assert_eq!(server.registered_epoch(&shuffle_bucket_key("st/job-10", 0, 0)), Some(0));
+        assert_eq!(server.store().list("").unwrap(), vec![map_output_key("st/job-10", 0)]);
+        let client = env_with("release-client", None);
+        assert!(client.fetch(&addr(port), &shuffle_bucket_key("st/job-1", 1, 5), 0).is_err());
+        let kept = client.fetch(&addr(port), &shuffle_bucket_key("st/job-10", 0, 5), 0);
+        assert_eq!(kept.unwrap(), three_buckets()[2].1);
+    }
+
+    #[test]
+    fn dropping_the_env_stops_its_server() {
+        let server = env_with("stop", None);
+        let port = server.serve().unwrap();
+        drop(server);
+        // the woken accept loop exits and closes the listener
+        let deadline = std::time::Instant::now() + Duration::from_secs(2);
+        while TcpStream::connect(addr(port)).is_ok() {
+            assert!(std::time::Instant::now() < deadline, "server still accepting");
+            std::thread::sleep(Duration::from_millis(10));
+        }
     }
 }

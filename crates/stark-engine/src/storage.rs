@@ -15,7 +15,7 @@ use serde::de::DeserializeOwned;
 use serde::Serialize;
 use std::fmt;
 use std::fs;
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -157,6 +157,37 @@ impl ObjectStore {
         Ok(payload.to_vec())
     }
 
+    /// Reads `len` payload bytes at `offset` of the object under `key`.
+    /// The frame magic is checked and the range must lie inside the
+    /// declared payload, but the whole-object checksum is not verified:
+    /// the caller checks the range against a checksum of its own (the
+    /// remote shuffle keeps one per bucket), so serving a range costs
+    /// only that range.
+    pub fn get_range(&self, key: &str, offset: usize, len: usize) -> Result<Vec<u8>, StorageError> {
+        let path = self.resolve(key)?;
+        let mut f = match fs::File::open(&path) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Err(StorageError::NotFound(key.to_string()))
+            }
+            Err(e) => return Err(e.into()),
+        };
+        let corrupt = || StorageError::Corrupt(key.to_string());
+        let mut header = [0u8; BLOB_HEADER_LEN];
+        f.read_exact(&mut header).map_err(|_| corrupt())?;
+        if &header[..FRAME_MAGIC.len()] != FRAME_MAGIC {
+            return Err(corrupt());
+        }
+        let declared = u32::from_le_bytes(header[FRAME_HEADER_LEN..].try_into().expect("4 bytes"));
+        if offset.checked_add(len).is_none_or(|end| end > declared as usize) {
+            return Err(corrupt());
+        }
+        f.seek(SeekFrom::Start((BLOB_HEADER_LEN + offset) as u64))?;
+        let mut out = vec![0u8; len];
+        f.read_exact(&mut out).map_err(|_| corrupt())?;
+        Ok(out)
+    }
+
     /// Serialises `value` as JSON under `key`.
     pub fn put_json<T: Serialize>(&self, key: &str, value: &T) -> Result<(), StorageError> {
         let data = serde_json::to_vec(value)?;
@@ -197,6 +228,17 @@ impl ObjectStore {
         }
     }
 
+    /// Removes every object under `prefix` (idempotent).
+    pub fn delete_prefix(&self, prefix: &str) -> Result<(), StorageError> {
+        let path = self.resolve(prefix)?;
+        let removed =
+            if path.is_dir() { fs::remove_dir_all(&path) } else { fs::remove_file(&path) };
+        match removed {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e.into()),
+            _ => Ok(()),
+        }
+    }
+
     /// Lists all object keys under the optional `prefix`, sorted.
     pub fn list(&self, prefix: &str) -> Result<Vec<String>, StorageError> {
         let mut keys = Vec::new();
@@ -229,27 +271,63 @@ pub const MAX_BLOB_LEN: usize = 256 << 20;
 static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// CRC32 (IEEE 802.3 polynomial, reflected) of `data` — the checksum
-/// gzip/zip use, implemented locally over a lazily built table to avoid
-/// a dependency. Public so the query-service wire protocol checksums
-/// frames identically to the object store.
+/// gzip/zip use, implemented locally to avoid a dependency. Public so the
+/// query-service wire protocol checksums frames identically to the
+/// object store.
+///
+/// Slicing-by-8: eight bytes per step through eight derived tables, so
+/// the loop carries one table lookup chain per 8 bytes instead of per
+/// byte; the tail is folded in bytewise.
 pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *slot = c;
-        }
-        t
-    });
+    let t = &CRC_TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
+}
+
+/// `CRC_TABLES[0]` is the bytewise table; `CRC_TABLES[k][i]` is the CRC
+/// of byte `i` followed by `k` zero bytes.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 /// Removes sibling directories under `base` named `{prefix}{pid}-{seq}`
@@ -404,6 +482,33 @@ mod tests {
         assert_eq!(crc32(b""), 0x0000_0000);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"hello"), 0x3610_A686);
+        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        assert_eq!(crc32(&[0u8; 32]), 0x190A_55AD);
+        assert_eq!(crc32(&[0xFFu8; 32]), 0xFF6C_AB0B);
+    }
+
+    #[test]
+    fn crc32_slicing_matches_the_bytewise_form() {
+        fn bytewise(data: &[u8]) -> u32 {
+            let mut crc = 0xFFFF_FFFFu32;
+            for &b in data {
+                crc = CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+            }
+            !crc
+        }
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..80)
+            .map(|_| {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (x >> 56) as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), bytewise(s), "start {start}, len {len}");
+            }
+        }
     }
 
     #[test]
@@ -519,6 +624,35 @@ mod tests {
         raw.push(b'x');
         fs::write(s.root().join("forged"), &raw).unwrap();
         assert!(matches!(s.get_bytes("forged"), Err(StorageError::Corrupt(_))));
+    }
+
+    #[test]
+    fn ranges_read_inside_the_payload_only() {
+        let s = temp_store("range");
+        s.put_bytes("blob", b"0123456789").unwrap();
+        assert_eq!(s.get_range("blob", 3, 4).unwrap(), b"3456");
+        assert_eq!(s.get_range("blob", 0, 10).unwrap(), b"0123456789");
+        assert!(s.get_range("blob", 10, 0).unwrap().is_empty());
+        for (offset, len) in [(8, 3), (11, 0), (usize::MAX, 2)] {
+            assert!(matches!(s.get_range("blob", offset, len), Err(StorageError::Corrupt(_))));
+        }
+        assert!(matches!(s.get_range("nope", 0, 1), Err(StorageError::NotFound(_))));
+        fs::write(s.root().join("legacy"), b"raw bytes from an old store").unwrap();
+        assert!(matches!(s.get_range("legacy", 0, 1), Err(StorageError::Corrupt(_))));
+        let _ = fs::remove_dir_all(s.root());
+    }
+
+    #[test]
+    fn delete_prefix_removes_a_subtree_only() {
+        let s = temp_store("delprefix");
+        s.put_bytes("st/job-1/a", b"a").unwrap();
+        s.put_bytes("st/job-1/b", b"b").unwrap();
+        s.put_bytes("st/job-10/a", b"c").unwrap();
+        s.delete_prefix("st/job-1").unwrap();
+        s.delete_prefix("st/job-1").unwrap();
+        assert_eq!(s.list("").unwrap(), vec!["st/job-10/a"]);
+        assert!(matches!(s.delete_prefix("../x"), Err(StorageError::InvalidKey(_))));
+        let _ = fs::remove_dir_all(s.root());
     }
 
     #[test]

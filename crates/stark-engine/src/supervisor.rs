@@ -362,6 +362,28 @@ impl ShuffleRegistry {
     }
 }
 
+/// Builds the fetch list for one reduce partition, in map-task order so
+/// concatenation matches the shared-store path byte for byte. Zero-count
+/// buckets are skipped — they were never written.
+fn fetch_sources(reg: &ShuffleRegistry, prefix: &str, partition: usize) -> Vec<FetchSource> {
+    let mut tasks: Vec<usize> = reg.entries.keys().copied().collect();
+    tasks.sort_unstable();
+    tasks
+        .into_iter()
+        .filter_map(|task| {
+            let e = &reg.entries[&task];
+            if e.counts.get(partition).copied().unwrap_or(0) == 0 {
+                return None;
+            }
+            Some(FetchSource {
+                addr: format!("127.0.0.1:{}", e.port),
+                key: shuffle_bucket_key(prefix, task, partition),
+                epoch: e.epoch,
+            })
+        })
+        .collect()
+}
+
 // ---------------------------------------------------------------------------
 // Pool internals
 // ---------------------------------------------------------------------------
@@ -410,8 +432,9 @@ pub struct WorkerPool {
     events_tx: Sender<Event>,
     store: ObjectStore,
     counters: Arc<PoolCounters>,
-    /// Map-output registry, one per remote-shuffle stage prefix.
-    map_outputs: HashMap<String, ShuffleRegistry>,
+    /// Prefix and final epoch of the latest remote shuffle (its map
+    /// outputs are released once it returns).
+    last_shuffle: Option<(String, u64)>,
     /// Monotonic job counter — part of the chaos draw identity.
     jobs: u64,
     /// splitmix64 state for respawn jitter.
@@ -449,7 +472,7 @@ impl WorkerPool {
             events_tx,
             store,
             counters: Arc::default(),
-            map_outputs: HashMap::new(),
+            last_shuffle: None,
             jobs: 0,
             closed: false,
         };
@@ -646,10 +669,11 @@ impl WorkerPool {
         }
     }
 
-    /// Current epoch of a remote-shuffle stage's map-output registry
-    /// (`None` if the stage never ran in [`ShuffleMode::Remote`]).
+    /// Final epoch of the map-output registry of the latest
+    /// [`ShuffleMode::Remote`] stage, if it ran under `prefix` (`None`
+    /// for any other prefix: finished stages are released).
     pub fn shuffle_epoch(&self, prefix: &str) -> Option<u64> {
-        self.map_outputs.get(prefix).map(|r| r.epoch)
+        self.last_shuffle.as_ref().filter(|(p, _)| p == prefix).map(|(_, epoch)| *epoch)
     }
 
     fn run_shuffle_shared(
@@ -696,34 +720,47 @@ impl WorkerPool {
         self.execute(&reduces)
     }
 
+    /// Runs a remote shuffle, then tells every live worker to release
+    /// the stage's map outputs — whether it succeeded or not.
     fn run_shuffle_remote(
         &mut self,
         map_tasks: &[DistTask],
         spec: &ShuffleSpec,
     ) -> Result<Vec<TaskResult>, PoolError> {
+        let mut reg = ShuffleRegistry::default();
+        let result = self.shuffle_stages(map_tasks, spec, &mut reg);
+        self.last_shuffle = Some((spec.prefix.clone(), reg.epoch));
+        let release = DriverMsg::ReleaseShuffle { prefix: spec.prefix.clone() };
+        // only live seats hold a writer; a failed send is a lost
+        // connection, which the seat's reader thread reports
+        for w in self.slots.iter_mut().filter_map(|s| s.writer.as_mut()) {
+            let _ = send_msg(w, &release);
+        }
+        result
+    }
+
+    fn shuffle_stages(
+        &mut self,
+        map_tasks: &[DistTask],
+        spec: &ShuffleSpec,
+        reg: &mut ShuffleRegistry,
+    ) -> Result<Vec<TaskResult>, PoolError> {
         let schema = map_tasks[0].fragment.schema.clone();
-        self.map_outputs.insert(spec.prefix.clone(), ShuffleRegistry::default());
 
         // Map stage, epoch 0: every producer keeps its buckets local.
         let all: Vec<usize> = (0..map_tasks.len()).collect();
-        self.produce_map_outputs(map_tasks, spec, &all, 0)?;
+        self.produce_map_outputs(map_tasks, spec, &all, reg)?;
 
         let mut rounds = 0u32;
         loop {
             // Outputs whose producer incarnation is gone are lost; their
             // map tasks re-run on survivors at a bumped epoch (lineage).
-            self.invalidate_dead_outputs(&spec.prefix);
-            let missing: Vec<usize> = {
-                let reg = &self.map_outputs[&spec.prefix];
-                (0..map_tasks.len()).filter(|t| !reg.entries.contains_key(t)).collect()
-            };
+            self.invalidate_dead_outputs(reg);
+            let missing: Vec<usize> =
+                (0..map_tasks.len()).filter(|t| !reg.entries.contains_key(t)).collect();
             if !missing.is_empty() {
-                let epoch = {
-                    let reg = self.map_outputs.get_mut(&spec.prefix).expect("stage registered");
-                    reg.epoch += 1;
-                    reg.epoch
-                };
-                self.produce_map_outputs(map_tasks, spec, &missing, epoch)?;
+                reg.epoch += 1;
+                self.produce_map_outputs(map_tasks, spec, &missing, reg)?;
                 // a producer may have died again during regeneration;
                 // re-check before building reduce inputs
                 continue;
@@ -733,7 +770,7 @@ impl WorkerPool {
                 .map(|p| {
                     DistTask::new(PlanFragment {
                         schema: schema.clone(),
-                        input: PlanInput::Fetch { sources: self.fetch_sources(&spec.prefix, p) },
+                        input: PlanInput::Fetch { sources: fetch_sources(reg, &spec.prefix, p) },
                         ops: spec.reduce_ops.clone(),
                         sink: spec.reduce_sink.clone(),
                     })
@@ -770,17 +807,18 @@ impl WorkerPool {
         }
     }
 
-    /// Runs the given map tasks with local-bucket sinks at `epoch` and
-    /// registers their outputs. An output whose producer died before
-    /// registration counts as lost — it was produced but never servable,
-    /// and the next round re-produces it.
+    /// Runs the given map tasks with local-bucket sinks at the registry's
+    /// current epoch and registers their outputs. An output whose
+    /// producer died before registration counts as lost — it was
+    /// produced but never servable, and the next round re-produces it.
     fn produce_map_outputs(
         &mut self,
         map_tasks: &[DistTask],
         spec: &ShuffleSpec,
         which: &[usize],
-        epoch: u64,
+        reg: &mut ShuffleRegistry,
     ) -> Result<(), PoolError> {
+        let epoch = reg.epoch;
         let staged: Vec<DistTask> = which
             .iter()
             .map(|&task| {
@@ -810,7 +848,6 @@ impl WorkerPool {
                 lost += 1;
                 continue;
             }
-            let reg = self.map_outputs.get_mut(&spec.prefix).expect("stage registered");
             if reg.register(task, MapOutputEntry { seat, gen, port, epoch, counts }) && epoch > 0 {
                 regenerated += 1;
             }
@@ -821,17 +858,12 @@ impl WorkerPool {
     }
 
     /// Drops registry entries whose producer incarnation is no longer
-    /// live and counts them lost. Returns how many were dropped.
-    fn invalidate_dead_outputs(&mut self, prefix: &str) -> u64 {
+    /// live and counts them lost.
+    fn invalidate_dead_outputs(&self, reg: &mut ShuffleRegistry) {
         let live: Vec<(u64, bool)> = self.slots.iter().map(|s| (s.gen, s.is_live())).collect();
-        let Some(reg) = self.map_outputs.get_mut(prefix) else { return 0 };
         let before = reg.entries.len();
         reg.entries.retain(|_, e| live[e.seat] == (e.gen, true));
-        let lost = (before - reg.entries.len()) as u64;
-        if lost > 0 {
-            self.counters.map_outputs_lost.add(lost);
-        }
-        lost
+        self.counters.map_outputs_lost.add((before - reg.entries.len()) as u64);
     }
 
     /// Takes down the live seat currently serving `addr` (shape
@@ -847,29 +879,6 @@ impl WorkerPool {
                 self.take_down(seat, self.slots[seat].gen, "unusable shuffle server");
             }
         }
-    }
-
-    /// Builds the fetch list for one reduce partition, in map-task order
-    /// so concatenation matches the shared-store path byte for byte.
-    /// Zero-count buckets are skipped — they were never written.
-    fn fetch_sources(&self, prefix: &str, partition: usize) -> Vec<FetchSource> {
-        let reg = &self.map_outputs[prefix];
-        let mut tasks: Vec<usize> = reg.entries.keys().copied().collect();
-        tasks.sort_unstable();
-        tasks
-            .into_iter()
-            .filter_map(|task| {
-                let e = &reg.entries[&task];
-                if e.counts.get(partition).copied().unwrap_or(0) == 0 {
-                    return None;
-                }
-                Some(FetchSource {
-                    addr: format!("127.0.0.1:{}", e.port),
-                    key: shuffle_bucket_key(prefix, task, partition),
-                    epoch: e.epoch,
-                })
-            })
-            .collect()
     }
 
     /// Waits for every Busy slot to settle (answer, die, or hit its

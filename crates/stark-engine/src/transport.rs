@@ -120,6 +120,9 @@ pub enum DriverMsg {
     Ping { seq: u64 },
     /// Finish the in-flight task (if any), then exit cleanly.
     Drain,
+    /// A remote-shuffle stage is finished: drop its map outputs (registry
+    /// entries and blobs) from the worker's shuffle store.
+    ReleaseShuffle { prefix: String },
 }
 
 /// Worker → driver messages.

@@ -192,6 +192,7 @@ impl WorkerRuntime {
                     send_msg(&mut *w, &WorkerMsg::Pong { seq })?;
                 }
                 DriverMsg::Drain => return Ok(()),
+                DriverMsg::ReleaseShuffle { prefix } => shuffle.release(&prefix),
                 DriverMsg::Task { id, attempt: _, fragment, has_payload } => {
                     let payload = if has_payload { Some(recv_payload(reader)?) } else { None };
                     busy.store(true, Ordering::Relaxed);

@@ -147,3 +147,48 @@ fn every_truncation_of_escapes_and_multibyte_text_is_an_error() {
         }
     }
 }
+
+/// Decodes `json` as `T`, asserting it takes under 5 s even unoptimised.
+/// A decoder quadratic in string length needs about 24 s for one 1 MiB
+/// string; a linear one needs milliseconds, so the bound carries no
+/// timing ratio that parallel load could flake.
+fn decode_within_5s<T: serde::de::DeserializeOwned>(json: &[u8]) -> T {
+    let started = std::time::Instant::now();
+    let value = serde_json::from_slice(json).expect("decode");
+    let took = started.elapsed();
+    assert!(took < std::time::Duration::from_secs(5), "{} KiB took {took:?}", json.len() >> 10);
+    value
+}
+
+#[test]
+fn a_mebibyte_of_json_strings_decodes_in_linear_time() {
+    let one: String = "spatio-temporal \u{e9}vent ".chars().cycle().take(1 << 20).collect();
+    let back: String = decode_within_5s(&serde_json::to_vec(&one).unwrap());
+    assert_eq!(back, one);
+
+    let many: Vec<String> =
+        (0..(1usize << 20).div_ceil(17)).map(|i| format!("event-{i:08}")).collect();
+    assert!(many.iter().all(|s| s.len() == 14));
+    let json = serde_json::to_vec(&many).unwrap();
+    assert!(json.len() >= 1 << 20);
+    let back: Vec<String> = decode_within_5s(&json);
+    assert_eq!(back, many);
+}
+
+#[test]
+fn strings_mixing_runs_escapes_and_multibyte_decode_as_written() {
+    let pieces =
+        ["plain run ", "\"", "\\", "\n", "\t", "\u{1}", "\u{e9}", "\u{4e16}", "\u{1F600}", "/"];
+    let mut x = 0x2545_F491_4F6C_DD1Du64;
+    for _ in 0..500 {
+        let mut s = String::new();
+        for _ in 0..(x % 24) {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            s.push_str(pieces[(x % pieces.len() as u64) as usize]);
+        }
+        let json = serde_json::to_string(&s).unwrap();
+        assert_eq!(serde_json::from_str::<String>(&json).unwrap(), s, "{json}");
+    }
+}

@@ -361,6 +361,54 @@ fn remote_shuffle_matches_shared_store_byte_for_byte() {
 }
 
 #[test]
+fn finished_remote_shuffles_release_their_map_outputs() {
+    let inputs = shuffle_inputs();
+    let map_tasks = shuffle_map_tasks(&inputs);
+    let expected = shuffle_expected(&inputs);
+    // a stage root no other test or concurrent run uses
+    let root = format!("release-{}", std::process::id());
+
+    let mut pool = WorkerPool::spawn(pool_config(2)).unwrap();
+    for job in 0..20 {
+        let spec = shuffle_spec(ShuffleMode::Remote, &format!("{root}/job-{job}"));
+        let out = pool.run_shuffle(&map_tasks, &spec).unwrap();
+        for p in 0..4 {
+            assert_eq!(collected_rows(&out[p]), expected[p], "job {job} partition {p}");
+        }
+    }
+    assert_eq!(pool.shuffle_epoch(&format!("{root}/job-19")), Some(0));
+    assert_eq!(pool.shuffle_epoch(&format!("{root}/job-18")), None, "only the latest is kept");
+
+    // Each worker's shuffle store (`stark-shuffle-<pid>-<seq>` in the temp
+    // dir) keeps the stage root it wrote blobs under, and release empties
+    // it. Workers act on the release message asynchronously, so poll.
+    let stage_roots = || -> Vec<std::path::PathBuf> {
+        std::fs::read_dir(std::env::temp_dir())
+            .unwrap()
+            .flatten()
+            .filter(|e| e.file_name().to_string_lossy().starts_with("stark-shuffle-"))
+            .map(|e| e.path().join(&root))
+            .filter(|p| p.is_dir())
+            .collect()
+    };
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        let roots = stage_roots();
+        assert!(!roots.is_empty(), "workers must have written map outputs under {root}");
+        let left: Vec<_> = roots
+            .iter()
+            .flat_map(|r| std::fs::read_dir(r).unwrap().flatten().map(|e| e.path()))
+            .collect();
+        if left.is_empty() {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "finished shuffles left {left:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    pool.shutdown();
+}
+
+#[test]
 fn torn_fetches_recover_with_one_retry_per_strike() {
     let inputs = shuffle_inputs();
     let map_tasks = shuffle_map_tasks(&inputs);
